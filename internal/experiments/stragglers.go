@@ -14,6 +14,7 @@ import (
 	"clinfl/internal/metrics"
 	"clinfl/internal/model"
 	"clinfl/internal/nn"
+	"clinfl/internal/sim"
 	"clinfl/internal/tensor"
 	"clinfl/internal/token"
 )
@@ -57,8 +58,9 @@ type StragglerResult struct {
 	Rounds int
 	// Accuracy is the best validation accuracy (fraction).
 	Accuracy float64
-	// MeanRoundTime is the mean wall-clock round duration; the sync
-	// scheme's includes the straggler's injected delay.
+	// MeanRoundTime is the mean round duration in virtual time: the
+	// modeled local compute, plus the straggler's injected delay for the
+	// sync scheme.
 	MeanRoundTime time.Duration
 	// MeanParticipants is the mean number of aggregated updates per round.
 	MeanParticipants float64
@@ -66,10 +68,19 @@ type StragglerResult struct {
 	BytesUpPerRound int64
 }
 
+// stragglerCompute is the modeled local-training time of every client's
+// round, in virtual time.
+const stragglerCompute = 200 * time.Millisecond
+
 // RunStragglerSweep executes the sweep: one shared data/model setup, one
 // federation per scheme, with client 4 wrapped in a fault injector that
-// delays every round by delay. Results are deterministic for a fixed
-// seed: the async schemes drop the straggler (it never aggregates), and
+// delays every round by delay. Training, accuracy and bytes are real;
+// time is not. Each federation runs on the simulator's virtual clock,
+// where every client's round costs stragglerCompute and the straggler's
+// delay on top, so round times and which updates beat the cut are a pure
+// function of the schedule — not of how the real training happens to
+// share the machine's cores. Results are deterministic for a fixed seed:
+// the async schemes drop the straggler (it never aggregates), and
 // sub-batching is pinned so gradients do not depend on GOMAXPROCS.
 func RunStragglerSweep(ctx context.Context, scale Scale, delay time.Duration) ([]StragglerResult, error) {
 	cfg := scale.apply(core.Default(core.TaskFinetune, core.ModeFederated, "lstm"))
@@ -141,6 +152,7 @@ func RunStragglerSweep(ctx context.Context, scale Scale, delay time.Duration) ([
 		if err != nil {
 			return nil, err
 		}
+		clock := sim.NewVirtualClock()
 		executors := make([]fl.Executor, cfg.Clients)
 		for i := range executors {
 			mdl, err := model.New(spec, vocab.Size(), cfg.MaxLen, 2, cfg.Seed)
@@ -155,16 +167,18 @@ func RunStragglerSweep(ctx context.Context, scale Scale, delay time.Duration) ([
 			if err != nil {
 				return nil, err
 			}
-			executors[i] = exec
+			// The modeled compute: a virtual pause before the real round.
+			executors[i] = fl.WrapFaulty(exec, fl.FaultConfig{Delay: stragglerCompute, Clock: clock})
 		}
 		// Client 4 is the straggler: every round arrives delay late.
-		executors[cfg.Clients-1] = fl.WrapFaulty(executors[cfg.Clients-1], fl.FaultConfig{Delay: delay})
+		executors[cfg.Clients-1] = fl.WrapFaulty(executors[cfg.Clients-1], fl.FaultConfig{Delay: delay, Clock: clock})
 
 		ctrlCfg := fl.ControllerConfig{
 			Rounds:   cfg.Rounds,
 			Seed:     cfg.Seed,
 			Validate: validate,
 			Filters:  []fl.Filter{fl.CodecSimFilter{Codec: codec}},
+			Clock:    clock,
 		}
 		if scheme.Async {
 			// MinUpdates is the fast path (aggregate as soon as the three
@@ -179,6 +193,7 @@ func RunStragglerSweep(ctx context.Context, scale Scale, delay time.Duration) ([
 			return nil, err
 		}
 		res, err := ctrl.Run(ctx, nn.SnapshotWeights(valModel.Params()))
+		clock.Drain() // let the straggler's last round finish in virtual time
 		if err != nil {
 			return nil, fmt.Errorf("experiments: stragglers %s: %w", scheme.Name, err)
 		}
@@ -211,6 +226,7 @@ func (Stragglers) Run(ctx context.Context, w io.Writer, scale Scale) error {
 	fmt.Fprintln(w, "EXTENSION — SYNC vs ASYNC FEDERATION UNDER AN INJECTED STRAGGLER")
 	fmt.Fprintln(w, "4 LSTM clients, client 4 delayed every round; async = MinUpdates=3 +")
 	fmt.Fprintln(w, "round deadline (straggler dropped), f32 = quantized uplink transport.")
+	fmt.Fprintf(w, "Round times are virtual: %v of modeled compute per client round.\n", stragglerCompute)
 	fmt.Fprintln(w)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "Scheme\tRounds\tAccuracy\tMean round\tParticipants\tUplink B/round")

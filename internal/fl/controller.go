@@ -13,6 +13,7 @@ import (
 	"clinfl/internal/fl/reconcile"
 	"clinfl/internal/metrics"
 	"clinfl/internal/tensor"
+	"clinfl/internal/transport"
 )
 
 // ControllerConfig parameterizes the server-side scatter-and-gather
@@ -37,10 +38,8 @@ type ControllerConfig struct {
 	// RoundDeadline bounds one round's gather: when it fires, whatever
 	// has arrived (subject to MinClients) is aggregated and the
 	// stragglers' eventual updates are handled by the staleness policy
-	// below. 0 falls back to RoundTimeout.
+	// below. 0 means no deadline.
 	RoundDeadline time.Duration
-	// RoundTimeout is the legacy name for RoundDeadline (0 = no limit).
-	RoundTimeout time.Duration
 	// AsyncAggregator, when non-nil, folds late updates (stragglers from
 	// round r arriving during round r' > r) into the global model with
 	// staleness weighting (FedAsync). Nil drops late updates.
@@ -107,9 +106,6 @@ func (c ControllerConfig) withDefaults(numClients int) ControllerConfig {
 			// trigger, not the full roster.
 			c.MinClients = c.MinUpdates
 		}
-	}
-	if c.RoundDeadline <= 0 {
-		c.RoundDeadline = c.RoundTimeout
 	}
 	if c.Aggregator == nil {
 		c.Aggregator = FedAvg{}
@@ -205,43 +201,22 @@ type Result struct {
 	Health map[string]string
 }
 
-// execOutcome carries one executor's result, tagged with the round it was
-// tasked for so stragglers finishing after their round's deadline are
-// recognized as late.
-type execOutcome struct {
-	update *ClientUpdate
-	err    error
-	name   string
-	round  int
-	// probe marks a recovery-probe result (err nil = the demoted client
-	// answered) rather than a round execution.
-	probe bool
-}
-
 // Controller drives the federated run over a set of executors in-process
 // (NVFlare simulator mode: every client is a goroutine rather than a
-// remote site; the networked deployment in server.go shares this logic).
+// remote site). It is the in-process fleet of the round engine; the
+// networked Server in server.go is the other.
 type Controller struct {
-	cfg       ControllerConfig
+	eng       *roundEngine
 	executors []Executor
-
-	// results is the run-long gather channel: buffered so a straggler
+	byName    map[string]Executor
+	// inbox is the run-long outcome channel: buffered so a straggler
 	// finishing rounds later never blocks, even after Run returns.
-	results chan execOutcome
+	inbox chan delivery
 	// inFlight marks executors still working on a previous round's task;
 	// they are excluded from sampling until their outcome arrives.
 	inFlight map[string]bool
-	rng      *tensor.RNG
-	met      flMetrics
-	// mon / pol are the reconciliation state machine and its resolved
-	// policy; nil mon means the legacy single-shot round loop.
-	mon    *reconcile.Monitor
-	pol    ReconcilePolicy
-	byName map[string]Executor
-	// tierShards recycles the tier path's edge-shard partials across
-	// rounds (Reset keeps each one's O(model) slabs warm), so a round's
-	// aggregation state is allocated once per run, not once per round.
-	tierShards []*hier.Partial
+	// global is the current round's task: the model executors start from.
+	global map[string]*tensor.Matrix
 }
 
 // NewController builds a controller over executors.
@@ -253,39 +228,269 @@ func NewController(cfg ControllerConfig, executors []Executor) (*Controller, err
 		cfg.Filters, cfg.WAL, cfg.Reconcile); err != nil {
 		return nil, err
 	}
-	names := make(map[string]bool, len(executors))
 	byName := make(map[string]Executor, len(executors))
 	for _, e := range executors {
-		if names[e.Name()] {
+		if _, dup := byName[e.Name()]; dup {
 			return nil, fmt.Errorf("fl: duplicate executor name %q", e.Name())
 		}
-		names[e.Name()] = true
 		byName[e.Name()] = e
 	}
+	cfg = cfg.withDefaults(len(executors))
 	c := &Controller{
-		cfg:       cfg.withDefaults(len(executors)),
 		executors: executors,
+		byName:    byName,
 		// Each executor has at most one task outcome and one probe
 		// outcome outstanding (it is never re-tasked until its previous
 		// outcome drains, and an in-flight probe never re-fires), so two
 		// slots per executor guarantee senders never block, even for
 		// stragglers finishing after Run returns.
-		results:  make(chan execOutcome, 2*len(executors)),
+		inbox:    make(chan delivery, 2*len(executors)),
 		inFlight: make(map[string]bool, len(executors)),
-		rng:      tensor.NewRNG(cfg.Seed + 7919),
-		met:      newFLMetrics(cfg.Metrics),
-		byName:   byName,
 	}
-	if cfg.Reconcile != nil {
-		c.pol = cfg.Reconcile.withDefaults()
-		c.mon = c.pol.monitor()
+	c.eng = &roundEngine{
+		fleet: c, inbox: c.inbox, clock: cfg.Clock,
+		rounds: cfg.Rounds, deadline: cfg.RoundDeadline, fraction: cfg.SampleFraction,
+		// withDefaults turned MinClients 0 into the whole roster (or
+		// MinUpdates); clamped to the clients tasked each round, that
+		// reads "all sampled".
+		minClients: cfg.MinClients, minUpdates: cfg.MinUpdates,
+		agg: cfg.Aggregator, async: cfg.AsyncAggregator, filters: cfg.Filters,
+		validate: cfg.Validate, patience: cfg.Patience, wal: cfg.WAL, tier: cfg.Tier,
+		met: newFLMetrics(cfg.Metrics), rng: tensor.NewRNG(cfg.Seed + 7919),
+		logf: func(string, ...any) {},
 	}
+	c.eng.setPolicy(cfg.Reconcile)
 	return c, nil
 }
 
 // Run executes the scatter-and-gather workflow for E rounds starting from
-// initialWeights, honoring ctx cancellation between rounds.
+// initialWeights, honoring ctx cancellation between rounds and in gathers.
 func (c *Controller) Run(ctx context.Context, initialWeights map[string]*tensor.Matrix) (*Result, error) {
+	return c.eng.run(ctx, initialWeights)
+}
+
+// begin implements fleet: executors train from the round's global model.
+func (c *Controller) begin(global map[string]*tensor.Matrix) error {
+	c.global = global
+	return nil
+}
+
+// idle implements fleet: executors not busy with an earlier task, in
+// roster order.
+func (c *Controller) idle() []string {
+	out := make([]string, 0, len(c.executors))
+	for _, ex := range c.executors {
+		if !c.inFlight[ex.Name()] {
+			out = append(out, ex.Name())
+		}
+	}
+	return out
+}
+
+// size implements fleet: sampling fractions apply to the whole roster.
+func (c *Controller) size() int { return len(c.executors) }
+
+// lost implements fleet.
+func (c *Controller) lost(name string) string {
+	if _, ok := c.byName[name]; !ok {
+		return "tasked before crash, absent after restart"
+	}
+	return ""
+}
+
+// dispatch implements fleet: start one executor on the round's task.
+// Starting a goroutine cannot fail, and the downlink is not metered.
+func (c *Controller) dispatch(name string, round int) (int64, error) {
+	ex, global := c.byName[name], c.global
+	c.inFlight[name] = true
+	c.eng.clock.Go(func() {
+		u, err := ex.ExecuteRound(round, global)
+		c.inbox <- delivery{name: name, round: round, update: u, err: err}
+	})
+	return 0, nil
+}
+
+// probe implements fleet: a recovery probe of a demoted executor.
+// Executors implementing Prober are actually probed; the rest trivially
+// succeed — for an in-process executor there is nothing to check beyond
+// waiting out the probe backoff.
+func (c *Controller) probe(_ int, name string) bool {
+	ex := c.byName[name]
+	c.eng.clock.Go(func() {
+		var err error
+		if p, ok := ex.(Prober); ok {
+			err = p.Probe()
+		}
+		c.inbox <- delivery{name: name, err: err, probe: true}
+	})
+	return true
+}
+
+// resolve implements fleet.
+func (c *Controller) resolve(d delivery, _ int) fleetEvent {
+	if d.probe {
+		return fleetEvent{kind: evProbe, name: d.name, err: d.err}
+	}
+	delete(c.inFlight, d.name)
+	return fleetEvent{kind: evOutcome, name: d.name, round: d.round, update: d.update, err: d.err, cause: "exec"}
+}
+
+// fleet is the client population the round engine drives: in-process
+// executors (Controller) or network connections with reader goroutines
+// (Server). Every method runs on the engine's goroutine; the fleet's
+// own goroutines only send deliveries into the engine's inbox.
+type fleet interface {
+	// begin readies the round's task payload from the global model.
+	begin(global map[string]*tensor.Matrix) error
+	// idle lists the clients free to take a task — live and not still
+	// working on an earlier one — in the fleet's canonical order: roster
+	// order in process, name order on the network. Sampling and
+	// substitution walk it in this order.
+	idle() []string
+	// size is the population a SampleFraction applies to.
+	size() int
+	// lost explains why a client tasked before a crash cannot be
+	// re-tasked on resume ("" when it can).
+	lost(name string) string
+	// dispatch sends the current round's task to name, returning the
+	// downlink bytes it cost.
+	dispatch(name string, round int) (int64, error)
+	// probe starts a recovery probe of a demoted client, reporting false
+	// when it failed at once.
+	probe(round int, name string) bool
+	// resolve turns one inbox delivery into an engine event, applying the
+	// fleet's own bookkeeping (busy marks, dead connections, re-attach).
+	resolve(d delivery, round int) fleetEvent
+}
+
+// delivery is one raw message on a fleet's inbox: an executor's task or
+// probe outcome in process; a reader goroutine's message or terminal
+// connection error, or a vetted reconnect, on the network.
+type delivery struct {
+	name string
+	// round is the round an in-process outcome's task was for.
+	round  int
+	update *ClientUpdate
+	err    error
+	// probe marks an in-process recovery-probe result (err nil = the
+	// demoted client answered) rather than a round execution.
+	probe bool
+	// gen is the connection generation a network reader was started
+	// under, so deliveries from a superseded connection are stale.
+	gen int
+	msg *transport.Message
+	// resume, when non-nil, is a vetted mid-run reconnect.
+	resume *resumeConn
+}
+
+type eventKind int
+
+const (
+	evSkip     eventKind = iota // nothing to do (a superseded connection's delivery)
+	evOutcome                   // a task's update or failure
+	evProbe                     // a recovery probe's answer
+	evReattach                  // a reconnecting client swapped in its new connection
+)
+
+// fleetEvent is a delivery resolved by its fleet.
+type fleetEvent struct {
+	kind eventKind
+	name string
+	// round is the round an outcome's task was for (-1 when the client
+	// was not tasked).
+	round  int
+	update *ClientUpdate
+	// err is the task's failure, the probe's failure, or the re-attach's
+	// failure to acknowledge; cause labels a task failure in
+	// fl_failures_total.
+	err   error
+	cause string
+	// slotHeld marks a re-attach by a client holding this round's task.
+	slotHeld bool
+}
+
+// roundEngine is the one scatter-and-gather loop (Fig. 1) behind both
+// Controller.Run and Server.Run: drain stragglers, sample, open the
+// round in the WAL, scatter, gather, finalize, commit and validate. The
+// differences between deployment shapes live in the fleet; the
+// differences between policies are values derived from config (a nil
+// mon turns off requeue, probes and parking; tier picks the sink).
+type roundEngine struct {
+	fleet fleet
+	inbox chan delivery
+	clock Clock
+
+	rounds, patience       int
+	deadline               time.Duration
+	fraction               float64
+	minClients, minUpdates int
+	// quorumFloor and quorumOverSampled are the network's quorum rules:
+	// MinClients 0 still requires one update, and clients whose task
+	// could not be sent count against the quorum instead of shrinking it.
+	quorumFloor       int
+	quorumOverSampled bool
+
+	agg      Aggregator
+	async    AsyncAggregator
+	filters  []Filter
+	validate func(weights map[string]*tensor.Matrix) (float64, error)
+	wal      *durable.WAL
+	met      flMetrics
+	rng      *tensor.RNG
+	logf     func(format string, args ...any)
+	// mon / pol are the reconciliation state machine and its resolved
+	// policy; nil mon is the single-shot round: no requeue, probes or
+	// parking, and a deadline below quorum fails the round.
+	mon *reconcile.Monitor
+	pol ReconcilePolicy
+	// tier routes in-process rounds through the fold-on-arrival tier
+	// sink; tierShards recycles its edge-shard partials across rounds
+	// (Reset keeps each one's O(model) slabs warm).
+	tier       *TierConfig
+	tierShards []*hier.Partial
+
+	r roundState
+}
+
+// roundState is one round's gather bookkeeping, reset before the
+// between-rounds drain. Until the scatter sets need, every event handler
+// branch that re-tasks or counts toward the round stays inert.
+type roundState struct {
+	round int
+	rec   *RoundRecord
+	sink  roundSink
+	late  []*ClientUpdate
+	// count is the updates the sink accepted; pending the tasks in flight.
+	count, pending int
+	quorum, need   int
+	participated   map[string]bool
+	inSampled      map[string]bool
+	deadlineAt     time.Time
+	fired          bool
+	// rq and assignment exist only under a ReconcilePolicy: the retry
+	// queue, and each in-flight client's slot (attempt count, origin).
+	rq         *reconcile.Queue
+	assignment map[string]reconcile.Task
+}
+
+// roundSink receives a round's in-time updates as they arrive and
+// finalizes them into the next global model.
+type roundSink interface {
+	add(name string, u *ClientUpdate) error
+	finalize(e *roundEngine, global map[string]*tensor.Matrix) (map[string]*tensor.Matrix, error)
+}
+
+// setPolicy installs a ReconcilePolicy (nil keeps the single-shot round).
+func (e *roundEngine) setPolicy(p *ReconcilePolicy) {
+	if p != nil {
+		e.pol = p.withDefaults()
+		e.mon = e.pol.monitor()
+	}
+}
+
+// run drives E rounds from initialWeights (or from the WAL's recovered
+// state) and returns the result.
+func (e *roundEngine) run(ctx context.Context, initialWeights map[string]*tensor.Matrix) (*Result, error) {
 	global := cloneWeights(initialWeights)
 	res := &Result{History: History{BestRound: -1}}
 	sinceBest := 0
@@ -293,13 +498,13 @@ func (c *Controller) Run(ctx context.Context, initialWeights map[string]*tensor.
 	// A durable run picks up where the WAL left off: the last committed
 	// model replaces initialWeights, and a round that was open at the
 	// crash is resumed — its recorded updates re-seeded, only the pending
-	// clients re-executed.
+	// clients re-tasked.
 	startRound := 0
 	var resume *durable.OpenRound
-	if c.cfg.WAL != nil {
-		st := c.cfg.WAL.Recovered()
+	if e.wal != nil {
+		st := e.wal.Recovered()
 		if st.Records > 0 {
-			c.met.reg.Counter("fl_recoveries_total", "runs resumed from a non-empty WAL").Inc()
+			e.met.reg.Counter("fl_recoveries_total", "runs resumed from a non-empty WAL").Inc()
 		}
 		if st.Weights != nil {
 			global = cloneWeights(st.Weights)
@@ -308,76 +513,54 @@ func (c *Controller) Run(ctx context.Context, initialWeights map[string]*tensor.
 		if st.Open != nil {
 			startRound = st.Open.Round
 			resume = st.Open
+			e.logf("resuming open round %d from WAL (%d tasked, %d updates recovered)",
+				resume.Round, len(resume.Tasked), len(resume.Updates))
+		} else if st.Records > 0 {
+			e.logf("resuming from WAL at round %d (last committed %d)", startRound, st.LastRound)
 		}
 		// Replayed quarantine decisions take effect before any sampling:
 		// a crash must not resurrect a quarantined client into the pool.
-		if c.mon != nil {
+		if e.mon != nil {
 			for name, state := range st.Health {
 				if state == reconcile.Quarantined.String() {
-					c.mon.SetQuarantined(name)
+					e.mon.SetQuarantined(name)
 				}
 			}
-			c.met.syncHealthGauges(c.mon)
+			e.met.syncHealthGauges(e.mon)
 		}
 	}
 
-	for round := startRound; round < c.cfg.Rounds; round++ {
+	for round := startRound; round < e.rounds; round++ {
 		select {
 		case <-ctx.Done():
 			return nil, fmt.Errorf("fl: cancelled before round %d: %w", round, ctx.Err())
 		default:
 		}
-		start := c.cfg.Clock.Now()
+		start := e.clock.Now()
 		rec := RoundRecord{Round: round}
-		if c.cfg.Tier != nil {
-			// Hierarchical path: updates stream into edge-shard partials as
-			// they arrive and merge up the tiers; the root never holds
-			// per-client weight maps.
-			var err error
-			global, err = c.tierRound(ctx, round, global, &rec)
-			if err != nil {
-				return nil, err
-			}
-			rec.Duration = c.cfg.Clock.Since(start)
-		} else {
-			updates, late, err := c.scatterGather(ctx, round, global, &rec, resume)
-			resume = nil
-			if err != nil {
-				return nil, err
-			}
-			global, err = finalizeRound(c.cfg.Filters, c.cfg.Aggregator, c.cfg.AsyncAggregator,
-				updates, late, round, global, &rec)
-			if err != nil {
-				return nil, err
-			}
-
-			rec.Duration = c.cfg.Clock.Since(start)
-			var lossSum, weightSum float64
-			for _, u := range updates {
-				rec.Participants = append(rec.Participants, u.ClientName)
-				rec.BytesUp += int64(u.PayloadBytes)
-				rec.BytesDown += int64(u.DownBytes)
-				lossSum += u.TrainLoss * float64(u.NumSamples)
-				weightSum += float64(u.NumSamples)
-			}
-			if weightSum > 0 {
-				rec.MeanTrainLoss = lossSum / weightSum
-			}
+		next, err := e.runRound(ctx, round, global, &rec, resume)
+		resume = nil
+		if err != nil {
+			return nil, err
 		}
-		if c.cfg.WAL != nil {
+		global = next
+		rec.Duration = e.clock.Since(start)
+		if e.wal != nil {
 			// The commit point: once RecModelCommit is durable (group
 			// committed by the syncer, settled by Close) a restart starts
-			// at round+1 and never re-runs this round.
-			if err := c.cfg.WAL.AppendRoundFinal(round, rec.Participants); err != nil {
+			// at round+1 and never re-runs this round. An unsynced commit
+			// lost to a crash just re-runs the round from its durable
+			// updates to the byte-identical model.
+			if err := e.wal.AppendRoundFinal(round, rec.Participants); err != nil {
 				return nil, fmt.Errorf("fl: round %d: %w", round, err)
 			}
-			if err := c.cfg.WAL.AppendModelCommit(round, global); err != nil {
+			if err := e.wal.AppendModelCommit(round, global); err != nil {
 				return nil, fmt.Errorf("fl: round %d: %w", round, err)
 			}
 		}
-		c.met.roundDone(&rec)
-		if c.cfg.Validate != nil {
-			score, err := c.cfg.Validate(global)
+		e.met.roundDone(&rec)
+		if e.validate != nil {
+			score, err := e.validate(global)
 			if err != nil {
 				return nil, fmt.Errorf("fl: round %d validate: %w", round, err)
 			}
@@ -392,7 +575,10 @@ func (c *Controller) Run(ctx context.Context, initialWeights map[string]*tensor.
 			}
 		}
 		res.History.Rounds = append(res.History.Rounds, rec)
-		if c.cfg.Patience > 0 && c.cfg.Validate != nil && sinceBest >= c.cfg.Patience {
+		e.logf("round %d/%d done in %v (mean loss %.4f, %d/%d participants, %d up / %d down bytes)",
+			round+1, e.rounds, rec.Duration.Round(time.Millisecond), rec.MeanTrainLoss,
+			len(rec.Participants), len(rec.Sampled), rec.BytesUp, rec.BytesDown)
+		if e.patience > 0 && e.validate != nil && sinceBest >= e.patience {
 			break // early stop: no validation improvement for Patience rounds
 		}
 	}
@@ -400,60 +586,646 @@ func (c *Controller) Run(ctx context.Context, initialWeights map[string]*tensor.
 	if res.BestWeights == nil {
 		res.BestWeights = cloneWeights(global)
 	}
-	if c.mon != nil {
-		res.Health = c.mon.Snapshot()
+	if e.mon != nil {
+		res.Health = e.mon.Snapshot()
 	}
 	return res, nil
 }
 
-// sampleClients picks this round's participants among executors that are
-// not still busy with an earlier round's task (and, under a
-// ReconcilePolicy, are health-eligible — Unreachable/Quarantined clients
-// stay out of the pool until a probe succeeds; with every executor
-// demoted the sample is empty and the caller parks the round).
-func (c *Controller) sampleClients() ([]Executor, error) {
-	idle := make([]Executor, 0, len(c.executors))
-	allDemoted := c.mon != nil
-	for _, ex := range c.executors {
-		if c.inFlight[ex.Name()] {
+// runRound runs one round: drain, sample (or resume), WAL open and
+// assign, scatter, gather, finalize. When resume is non-nil (WAL
+// recovery), the round's recorded updates are re-seeded instead of
+// re-trained and only the tasked-but-unheard clients are re-tasked;
+// clients are pure functions of (round, global), so the resumed round
+// aggregates exactly what the uninterrupted one would have.
+func (e *roundEngine) runRound(ctx context.Context, round int, global map[string]*tensor.Matrix, rec *RoundRecord, resume *durable.OpenRound) (map[string]*tensor.Matrix, error) {
+	if err := e.fleet.begin(global); err != nil {
+		return nil, err
+	}
+	e.r = roundState{round: round, rec: rec, participated: map[string]bool{}, inSampled: map[string]bool{}}
+	if e.mon != nil {
+		e.r.rq = reconcile.NewQueue()
+		e.r.assignment = map[string]reconcile.Task{}
+	}
+	r := &e.r
+	// Drain stragglers that finished between rounds first, so they become
+	// idle (sample-able) again and their updates enter this round's
+	// staleness handling instead of rotting in the inbox.
+drain:
+	for {
+		select {
+		case d := <-e.inbox:
+			if err := e.absorb(d); err != nil {
+				return nil, err
+			}
+		default:
+			break drain
+		}
+	}
+
+	var targets []string
+	var preSeeded []*ClientUpdate
+	if resume != nil {
+		for _, u := range resume.Updates {
+			preSeeded = append(preSeeded, &ClientUpdate{
+				ClientName: u.Client, Round: round, Weights: u.Weights,
+				NumSamples: u.NumSamples, TrainLoss: u.TrainLoss,
+				PayloadBytes: u.PayloadBytes,
+			})
+			r.participated[u.Client] = true
+		}
+		for _, name := range resume.Tasked {
+			rec.Sampled = append(rec.Sampled, name)
+			if resume.HasUpdate(name) {
+				continue
+			}
+			if why := e.fleet.lost(name); why != "" {
+				e.fail(name, errors.New(why), "conn")
+				continue
+			}
+			if e.mon != nil && !e.mon.Eligible(name) {
+				// Quarantined by a replayed health record: the pre-crash
+				// task assignment does not override the quarantine.
+				e.fail(name, errors.New("quarantined, not re-tasked on resume"), "exec")
+				continue
+			}
+			targets = append(targets, name)
+		}
+	} else {
+		var err error
+		if targets, err = e.sample(ctx); err != nil {
+			return nil, err
+		}
+		rec.Sampled = append(rec.Sampled, targets...)
+		if e.wal != nil {
+			// Task assignments from a resumed round are already on disk.
+			if err := e.wal.AppendRoundOpen(round); err != nil {
+				return nil, fmt.Errorf("fl: round %d: %w", round, err)
+			}
+			for _, name := range targets {
+				if err := e.wal.AppendTaskAssigned(round, name); err != nil {
+					return nil, fmt.Errorf("fl: round %d: %w", round, err)
+				}
+			}
+		}
+	}
+	for _, name := range rec.Sampled {
+		r.inSampled[name] = true
+	}
+	if e.tier != nil {
+		r.sink = e.newTierSink(rec.Sampled)
+	} else {
+		r.sink = &flatSink{updates: preSeeded}
+	}
+	r.count = len(preSeeded)
+
+	// No fsync barrier before the scatter: file order gives the WAL a
+	// durable prefix (an fsync covering this round's open covers the
+	// previous commit too), and a lost suffix re-executes the round
+	// deterministically. The background syncer flushes the scatter while
+	// the clients train.
+	var failedSends []string
+	for _, name := range targets {
+		n, err := e.fleet.dispatch(name, round)
+		if err != nil {
+			e.fail(name, fmt.Errorf("send task: %v", err), "send")
+			if e.mon != nil {
+				if err := e.healthEdge(e.mon.Observe(name, false, e.clock.Now())); err != nil {
+					return nil, err
+				}
+				failedSends = append(failedSends, name)
+			}
 			continue
 		}
-		if c.mon != nil && !c.mon.Eligible(ex.Name()) {
-			continue
+		rec.BytesDown += n
+		r.pending++
+		if e.mon != nil {
+			r.assignment[name] = reconcile.Task{Client: name, Round: round, Attempt: 1, Origin: name}
 		}
-		allDemoted = false
-		idle = append(idle, ex)
 	}
-	if allDemoted {
-		return nil, nil // mass failure: park rather than error
+
+	avail := r.pending + len(preSeeded)
+	base := avail
+	if e.quorumOverSampled {
+		base = len(rec.Sampled)
 	}
-	if len(idle) == 0 {
-		return nil, errors.New("fl: no idle clients to sample (every executor is a straggler)")
+	r.quorum = e.minClients
+	if r.quorum > base {
+		r.quorum = base
 	}
-	if c.cfg.SampleFraction <= 0 || c.cfg.SampleFraction >= 1 {
-		return idle, nil
+	if r.quorum < e.quorumFloor {
+		r.quorum = e.quorumFloor
 	}
-	k := int(math.Ceil(float64(len(c.executors)) * c.cfg.SampleFraction))
+	r.need = e.minUpdates
+	if r.need <= 0 || r.need > avail {
+		r.need = avail
+	}
+	if r.need < r.quorum {
+		// An early aggregate below the quorum would always fail it; wait
+		// for the quorum before cutting the round short.
+		r.need = r.quorum
+	}
+	if err := e.gather(ctx, failedSends); err != nil {
+		return nil, err
+	}
+	return r.sink.finalize(e, global)
+}
+
+// sample picks this round's participants among idle clients the health
+// monitor admits. A pool emptied by demotions (mass failure) parks the
+// round until a recovery probe readmits someone.
+func (e *roundEngine) sample(ctx context.Context) ([]string, error) {
+	pool := e.eligibleIdle()
+	if len(pool) == 0 && e.mon != nil {
+		if err := e.parkUntilEligible(ctx); err != nil {
+			return nil, err
+		}
+		pool = e.eligibleIdle()
+	}
+	if len(pool) == 0 {
+		return nil, fmt.Errorf("fl: round %d: no idle clients to task (every client is a straggler or dead)", e.r.round)
+	}
+	if e.fraction <= 0 || e.fraction >= 1 {
+		return pool, nil
+	}
+	k := int(math.Ceil(float64(e.fleet.size()) * e.fraction))
 	if k < 1 {
 		k = 1
 	}
-	if k > len(idle) {
-		k = len(idle)
+	if k > len(pool) {
+		k = len(pool)
 	}
-	c.rng.Shuffle(len(idle), func(i, j int) { idle[i], idle[j] = idle[j], idle[i] })
-	return idle[:k], nil
+	e.rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
+	return pool[:k], nil
 }
 
-// finalizeRound runs the shared end-of-round aggregation for both the
-// in-process controller and the networked server: the filter chain over the
-// in-round updates, the batch aggregate, then the filter chain and the
-// staleness-weighted merge for each late update. Late updates pass through
-// the same filters before they can reach the global model — privacy filters
-// (clipping, DP noise) must see every merged update, stale or not — against
-// this round's starting weights, the closest surviving reference. A late
-// update that fails filtering, shape-checking, or merging lands in
-// rec.Failures and is skipped: one straggler's bad payload must not abort
-// the federation.
+// eligibleIdle filters the fleet's idle clients through the health
+// monitor.
+func (e *roundEngine) eligibleIdle() []string {
+	pool := e.fleet.idle()
+	if e.mon == nil {
+		return pool
+	}
+	out := pool[:0]
+	for _, n := range pool {
+		if e.mon.Eligible(n) {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// gather collects the round's updates until the trigger (need) is met,
+// or the deadline fires at or above quorum. Without a ReconcilePolicy
+// the deadline ends the gather outright and stragglers stay in flight,
+// surfacing as late updates in a future round (NVFlare's
+// wait_time_after_min_received semantics). With one, failed assignments
+// are requeued with backoff and re-dispatched (to the same client, or —
+// with Substitute — an idle eligible one) until the deadline; demoted
+// clients are probed and may be re-tasked on recovery; and a round that
+// can no longer reach its trigger degrades (FedAsync partial finalize)
+// or parks awaiting probes, bounded by MaxPark, instead of deadlocking.
+func (e *roundEngine) gather(ctx context.Context, failedSends []string) error {
+	r := &e.r
+	deadlineAt, deadlineCh := gatherDeadline(e.clock, e.deadline)
+	r.deadlineAt = deadlineAt
+	for _, name := range failedSends {
+		e.requeue(reconcile.Task{Client: name, Round: r.round, Attempt: 1, Origin: name})
+	}
+	parked := false
+	var parkDeadline time.Time
+	for {
+		now := e.clock.Now()
+		if !r.fired && !deadlineAt.IsZero() && !now.Before(deadlineAt) {
+			r.fired = true
+			e.met.stragglers.Add(int64(r.pending))
+			if r.rq != nil {
+				// Queued retries die with the deadline; the failures that
+				// queued them are already in rec.Failures, so nothing is
+				// silently lost.
+				r.rq.Drain()
+			}
+		}
+		if r.count >= r.need || (r.fired && (r.count >= r.quorum || e.mon == nil)) {
+			break
+		}
+		if parked && !now.Before(parkDeadline) {
+			// Parking budget exhausted: degrade if the async path can
+			// finalize a partial round, else fail the quorum below.
+			break
+		}
+		if e.mon != nil {
+			if !r.fired {
+				for _, t := range r.rq.Due(now) {
+					if err := e.redispatch(t); err != nil {
+						return err
+					}
+				}
+			}
+			if err := e.fireProbes(now); err != nil {
+				return err
+			}
+		}
+		if r.pending == 0 && (r.rq == nil || r.rq.Len() == 0) {
+			// Starved: nothing in flight, nothing queued, below the
+			// trigger. Recoverable only if probes are running or
+			// scheduled; otherwise give up now.
+			if e.mon == nil || (!e.mon.Probing() && e.mon.NextProbeAt().IsZero()) {
+				break
+			}
+			if !parked {
+				parked = true
+				parkDeadline = now.Add(e.pol.MaxPark)
+				e.met.parked.Inc()
+			}
+		}
+		var wake time.Time
+		earliest := func(t time.Time) {
+			if !t.IsZero() && (wake.IsZero() || t.Before(wake)) {
+				wake = t
+			}
+		}
+		if !r.fired {
+			earliest(deadlineAt)
+		}
+		if e.mon != nil {
+			if !r.fired {
+				earliest(r.rq.NextAt())
+			}
+			earliest(e.mon.NextProbeAt())
+			if parked {
+				earliest(parkDeadline)
+			}
+		}
+		// The round deadline keeps one timer for the whole gather; only a
+		// wake-up that moves (a retry, a probe, the park budget) needs a
+		// fresh one.
+		at, ch := deadlineAt, deadlineCh
+		if r.fired || !wake.Equal(deadlineAt) {
+			at, ch = wakeChan(e.clock, wake)
+		}
+		d, status := waitRecv(e.clock, e.inbox, ctx.Done(), at, ch)
+		switch status {
+		case waitDeadline:
+			continue
+		case waitCancelled:
+			return fmt.Errorf("fl: round %d cancelled: %w", r.round, ctx.Err())
+		}
+		if err := e.absorb(d); err != nil {
+			return err
+		}
+	}
+	if r.count < r.quorum {
+		// Mass failure left a reconciled round short. The async path
+		// finalizes what it has as a degraded partial round — FedAsync
+		// already tolerates weight drift from missing participants —
+		// provided at least one update arrived; the synchronous path
+		// must fail.
+		if e.mon != nil && e.async != nil && r.count > 0 {
+			r.rec.Degraded = true
+			e.met.degraded.Inc()
+			return nil
+		}
+		how := ""
+		if e.mon != nil {
+			how = " after reconciliation"
+		}
+		return fmt.Errorf("fl: round %d quorum not met%s: %d/%d updates (failures: %v)",
+			r.round, how, r.count, r.quorum, r.rec.Failures)
+	}
+	if e.mon != nil && r.count < r.need {
+		// At or above quorum but short of the trigger: the deadline or
+		// the parking budget cut a mass-failure round short.
+		r.rec.Degraded = true
+		e.met.degraded.Inc()
+	}
+	if e.mon == nil && (len(r.rec.Failures) > 0 || r.count < len(r.rec.Sampled)) {
+		e.logf("round %d proceeded with %d/%d clients (failures: %v)",
+			r.round, r.count, len(r.rec.Sampled), r.rec.Failures)
+	}
+	return nil
+}
+
+// absorb handles one inbox delivery, wherever it lands: the
+// between-rounds drain, the parked-round wait, or the gather. Outside the
+// gather no task of the current round is in flight and need is zero, so
+// only the straggler and health bookkeeping applies.
+func (e *roundEngine) absorb(d delivery) error {
+	r := &e.r
+	ev := e.fleet.resolve(d, r.round)
+	switch ev.kind {
+	case evProbe:
+		// A late answer to a probe already resolved (or never sent) is
+		// ignored.
+		if !e.mon.IsProbing(ev.name) {
+			return nil
+		}
+		res := "ok"
+		if ev.err != nil {
+			res = "fail"
+		}
+		e.met.probe(res)
+		if err := e.healthEdge(e.mon.ProbeResult(ev.name, ev.err == nil, e.clock.Now())); err != nil {
+			return err
+		}
+		// Revived mid-round: if the round still cannot reach its trigger
+		// with what is in flight and queued, task the recovered client
+		// (the parked-round resume path).
+		need := r.need
+		if r.fired {
+			need = r.quorum
+		}
+		if ev.err == nil && r.count+r.pending+r.rq.Len() < need && !r.participated[ev.name] {
+			return e.redispatch(reconcile.Task{Client: ev.name, Round: r.round, Attempt: 1, Origin: "probe"})
+		}
+	case evReattach:
+		if ev.err != nil {
+			e.fail(ev.name, ev.err, "conn")
+		}
+		if ev.slotHeld {
+			r.pending--
+			if e.mon != nil {
+				// The re-attach implies the old connection is gone, and
+				// with it the in-flight assignment; requeue it rather
+				// than racing a blind re-send against the retry machinery.
+				t, assigned := r.assignment[ev.name]
+				delete(r.assignment, ev.name)
+				e.fail(ev.name, errors.New("connection replaced mid-task"), "conn")
+				if err := e.healthEdge(e.mon.Observe(ev.name, false, e.clock.Now())); err != nil {
+					return err
+				}
+				if assigned {
+					e.requeue(t)
+				}
+			}
+		}
+		if e.mon == nil && ev.err == nil && r.inSampled[ev.name] && !r.participated[ev.name] {
+			// Tasked this round and not yet heard from: re-send the task so
+			// the round can still complete.
+			n, err := e.fleet.dispatch(ev.name, r.round)
+			if err != nil {
+				e.fail(ev.name, fmt.Errorf("resend task: %v", err), "send")
+				return nil
+			}
+			r.rec.BytesDown += n
+			r.pending++
+		}
+	case evOutcome:
+		return e.outcome(ev)
+	}
+	return nil
+}
+
+// outcome handles a task's update or failure. Failures of this round's
+// tasks release their slot (and, under a policy, requeue it); a payload
+// rejected for a task from another round says nothing about the
+// client's health. Updates for this round feed the sink; earlier rounds'
+// stragglers become late updates or drops.
+func (e *roundEngine) outcome(ev fleetEvent) error {
+	r := &e.r
+	current := ev.round == r.round
+	t, assigned := r.assignment[ev.name]
+	delete(r.assignment, ev.name)
+	if ev.err != nil {
+		e.fail(ev.name, ev.err, ev.cause)
+		if e.mon != nil {
+			if ev.cause == "conn" && e.mon.IsProbing(ev.name) {
+				// The connection died between the ping and its pong.
+				e.met.probe("fail")
+				return e.healthEdge(e.mon.ProbeResult(ev.name, false, e.clock.Now()))
+			}
+			if ev.cause != "reject" || current {
+				if err := e.healthEdge(e.mon.Observe(ev.name, false, e.clock.Now())); err != nil {
+					return err
+				}
+			}
+		}
+		if current {
+			r.pending--
+			if assigned {
+				e.requeue(t)
+			}
+		}
+		return nil
+	}
+	if e.mon != nil {
+		if err := e.healthEdge(e.mon.Observe(ev.name, true, e.clock.Now())); err != nil {
+			return err
+		}
+	}
+	u := ev.update
+	switch {
+	case current:
+		r.pending--
+		if e.wal != nil {
+			// Lazy append, group-committed by the WAL's syncer. A crash
+			// that loses it re-tasks the client on resume — either way the
+			// round's participant set is consistent on disk and in memory.
+			if err := e.wal.AppendUpdate(r.round, ev.name, u.NumSamples,
+				u.TrainLoss, u.PayloadBytes, u.Weights); err != nil {
+				return fmt.Errorf("fl: round %d: %w", r.round, err)
+			}
+		}
+		if err := r.sink.add(ev.name, u); err != nil {
+			// A malformed update is a per-client failure, not a
+			// federation abort: the round proceeds with everyone else.
+			e.fail(ev.name, err, "reject")
+			return nil
+		}
+		r.count++
+		r.participated[ev.name] = true
+	case e.async != nil:
+		r.late = append(r.late, u)
+	default:
+		r.rec.LateDropped = append(r.rec.LateDropped, ev.name)
+	}
+	return nil
+}
+
+// fail records one client failure in the round record and metrics.
+func (e *roundEngine) fail(name string, err error, cause string) {
+	e.r.rec.Failures = append(e.r.rec.Failures, fmt.Sprintf("%s: %v", name, err))
+	e.met.failure(cause)
+}
+
+// requeue schedules retry attempt t.Attempt+1 of a failed slot, unless
+// the slot is out of attempts or the retry could not run before the
+// round deadline. The triggering failure is already recorded, so a task
+// that dies here is abandoned, never silently lost.
+func (e *roundEngine) requeue(t reconcile.Task) {
+	r := &e.r
+	if r.fired || t.Attempt >= e.pol.MaxAssignAttempts {
+		return
+	}
+	readyAt := e.clock.Now().Add(e.pol.RequeueBackoff.Delay(t.Attempt - 1))
+	if !r.deadlineAt.IsZero() && !readyAt.Before(r.deadlineAt) {
+		return
+	}
+	r.rq.Add(reconcile.Task{Client: t.Client, Round: r.round, Attempt: t.Attempt + 1, Origin: t.Origin}, readyAt)
+	e.met.requeues.Inc()
+}
+
+// redispatch hands a ready task to its client — or, when that client is
+// busy, dead, demoted, or already counted, to the first idle eligible
+// substitute in the fleet's canonical order (deterministic). A task with
+// no viable target is abandoned; its triggering failure is already
+// recorded.
+func (e *roundEngine) redispatch(t reconcile.Task) error {
+	r := &e.r
+	target := ""
+	for _, n := range e.fleet.idle() {
+		if r.participated[n] || !e.mon.Eligible(n) {
+			continue
+		}
+		if n == t.Client {
+			target = n
+			break
+		}
+		if target == "" && e.pol.Substitute {
+			target = n
+		}
+	}
+	if target == "" {
+		return nil
+	}
+	n, err := e.fleet.dispatch(target, r.round)
+	if err != nil {
+		e.fail(target, fmt.Errorf("send task: %v", err), "send")
+		if err := e.healthEdge(e.mon.Observe(target, false, e.clock.Now())); err != nil {
+			return err
+		}
+		e.requeue(t)
+		return nil
+	}
+	r.assignment[target] = reconcile.Task{Client: target, Round: r.round, Attempt: t.Attempt, Origin: t.Origin}
+	r.rec.Reassigned = append(r.rec.Reassigned, t.Origin+">"+target)
+	if !r.inSampled[target] {
+		r.inSampled[target] = true
+		r.rec.Sampled = append(r.rec.Sampled, target)
+	}
+	if e.wal != nil {
+		if err := e.wal.AppendTaskAssigned(r.round, target); err != nil {
+			return fmt.Errorf("fl: round %d: %w", r.round, err)
+		}
+	}
+	r.rec.BytesDown += n
+	r.pending++
+	return nil
+}
+
+// fireProbes starts the recovery probes that are due; a probe that fails
+// at once backs off the next one.
+func (e *roundEngine) fireProbes(now time.Time) error {
+	for _, name := range e.mon.DueProbes(now) {
+		if !e.fleet.probe(e.r.round, name) {
+			e.met.probe("fail")
+			if err := e.healthEdge(e.mon.ProbeResult(name, false, e.clock.Now())); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// healthEdge records a health transition in metrics and — for the
+// durable pool-membership edges, quarantine entry and the rejoin
+// clearing it — in the WAL.
+func (e *roundEngine) healthEdge(tr reconcile.Transition) error {
+	if !tr.Changed() {
+		return nil
+	}
+	e.met.healthTransition(e.mon, tr)
+	if e.wal != nil && (tr.To == reconcile.Quarantined || tr.From == reconcile.Quarantined) {
+		if err := e.wal.AppendHealth(e.r.round, tr.Client, tr.To.String()); err != nil {
+			return fmt.Errorf("fl: round %d: %w", e.r.round, err)
+		}
+	}
+	return nil
+}
+
+// parkUntilEligible blocks a round whose sample pool is empty (every
+// client demoted or dead — mass failure) until a recovery probe readmits
+// someone, bounded by MaxPark. Deliveries arriving meanwhile — above all
+// the reconnects that make recovery possible — are absorbed like the
+// between-rounds drain.
+func (e *roundEngine) parkUntilEligible(ctx context.Context) error {
+	e.met.parked.Inc()
+	parkDeadline := e.clock.Now().Add(e.pol.MaxPark)
+	for {
+		now := e.clock.Now()
+		if len(e.eligibleIdle()) > 0 {
+			return nil
+		}
+		if !now.Before(parkDeadline) {
+			return fmt.Errorf("fl: round %d: no eligible clients after parking %v (every client demoted or dead; failures so far: %v)",
+				e.r.round, e.pol.MaxPark, e.r.rec.Failures)
+		}
+		if err := e.fireProbes(now); err != nil {
+			return err
+		}
+		wake := parkDeadline
+		if at := e.mon.NextProbeAt(); !at.IsZero() && at.Before(wake) {
+			wake = at
+		}
+		at, ch := wakeChan(e.clock, wake)
+		d, status := waitRecv(e.clock, e.inbox, ctx.Done(), at, ch)
+		switch status {
+		case waitCancelled:
+			return fmt.Errorf("fl: round %d cancelled: %w", e.r.round, ctx.Err())
+		case waitDeadline:
+			continue
+		}
+		if err := e.absorb(d); err != nil {
+			return err
+		}
+	}
+}
+
+// flatSink buffers the round's updates for finalizeRound: the flat root,
+// and the networked tier root whose TierAggregator merges edge partials.
+type flatSink struct {
+	updates []*ClientUpdate
+}
+
+func (s *flatSink) add(_ string, u *ClientUpdate) error {
+	s.updates = append(s.updates, u)
+	return nil
+}
+
+func (s *flatSink) finalize(e *roundEngine, global map[string]*tensor.Matrix) (map[string]*tensor.Matrix, error) {
+	rec := e.r.rec
+	next, err := finalizeRound(e.filters, e.agg, e.async, s.updates, e.r.late, e.r.round, global, rec)
+	if err != nil {
+		return nil, err
+	}
+	if ta, ok := e.agg.(*TierAggregator); ok {
+		rec.TierPartials = ta.Partials
+		rec.TierBytesUp = ta.TierBytes
+		rec.TierResidentBytes = ta.ResidentBytes
+	}
+	var lossSum, weightSum float64
+	for _, u := range s.updates {
+		rec.Participants = append(rec.Participants, u.ClientName)
+		rec.BytesUp += int64(u.PayloadBytes)
+		rec.BytesDown += int64(u.DownBytes)
+		lossSum += u.TrainLoss * float64(u.NumSamples)
+		weightSum += float64(u.NumSamples)
+	}
+	if weightSum > 0 {
+		rec.MeanTrainLoss = lossSum / weightSum
+	}
+	return next, nil
+}
+
+// finalizeRound runs the flat end-of-round aggregation: the filter chain
+// over the in-round updates, the batch aggregate, then the filter chain
+// and the staleness-weighted merge for each late update. Late updates
+// pass through the same filters before they can reach the global model —
+// privacy filters (clipping, DP noise) must see every merged update,
+// stale or not — against this round's starting weights, the closest
+// surviving reference. A late update that fails filtering,
+// shape-checking, or merging lands in rec.Failures and is skipped: one
+// straggler's bad payload must not abort the federation.
 //
 // Both update batches are sorted into a canonical order (in-round by client
 // name, late by round then name) before any floating-point accumulation, so
@@ -519,526 +1291,6 @@ func checkShapes(global map[string]*tensor.Matrix, u *ClientUpdate) error {
 		}
 	}
 	return nil
-}
-
-// scatterGather runs one round: the sampled executors train concurrently
-// on the current global model; updates are gathered until all sampled
-// clients respond, MinUpdates arrive, or the round deadline fires.
-// Outcomes from earlier rounds' stragglers drain through the same channel
-// and are returned as late updates (to merge via the AsyncAggregator) or
-// recorded as dropped.
-// When resume is non-nil (WAL recovery), the round's recorded updates are
-// re-seeded instead of re-trained and only the tasked-but-unheard clients
-// execute; executors are pure functions of (round, global), so the resumed
-// round aggregates exactly what the uninterrupted one would have.
-func (c *Controller) scatterGather(ctx context.Context, round int, global map[string]*tensor.Matrix, rec *RoundRecord, resume *durable.OpenRound) ([]*ClientUpdate, []*ClientUpdate, error) {
-	// Drain stragglers that finished between rounds first, so they become
-	// idle (sample-able) again and their updates enter this round's
-	// staleness handling instead of rotting in the channel.
-	var late []*ClientUpdate
-drain:
-	for {
-		select {
-		case o := <-c.results:
-			if err := c.absorbStale(o, round, rec, &late); err != nil {
-				return nil, nil, err
-			}
-		default:
-			break drain
-		}
-	}
-
-	var sampled []Executor
-	var preSeeded []*ClientUpdate
-	if resume != nil {
-		for _, u := range resume.Updates {
-			preSeeded = append(preSeeded, &ClientUpdate{
-				ClientName: u.Client, Round: round, Weights: u.Weights,
-				NumSamples: u.NumSamples, TrainLoss: u.TrainLoss,
-				PayloadBytes: u.PayloadBytes,
-			})
-		}
-		for _, name := range resume.Tasked {
-			rec.Sampled = append(rec.Sampled, name)
-			if resume.HasUpdate(name) {
-				continue
-			}
-			ex, ok := c.byName[name]
-			if !ok {
-				rec.Failures = append(rec.Failures, fmt.Sprintf("%s: tasked before crash, absent after restart", name))
-				c.met.failure("conn")
-				continue
-			}
-			if c.mon != nil && !c.mon.Eligible(name) {
-				// Quarantined by a replayed health record: the pre-crash
-				// task assignment does not override the quarantine.
-				rec.Failures = append(rec.Failures, fmt.Sprintf("%s: quarantined, not re-tasked on resume", name))
-				c.met.failure("exec")
-				continue
-			}
-			sampled = append(sampled, ex)
-		}
-	} else {
-		var err error
-		sampled, err = c.sampleClients()
-		if err != nil {
-			return nil, nil, fmt.Errorf("fl: round %d: %w", round, err)
-		}
-		if c.mon != nil && len(sampled) == 0 {
-			// Mass failure: every executor is demoted. Park the round
-			// until recovery probes readmit someone instead of failing.
-			if err := c.parkUntilEligible(ctx, round, rec, &late); err != nil {
-				return nil, nil, err
-			}
-			if sampled, err = c.sampleClients(); err != nil {
-				return nil, nil, fmt.Errorf("fl: round %d: %w", round, err)
-			}
-		}
-		for _, ex := range sampled {
-			rec.Sampled = append(rec.Sampled, ex.Name())
-		}
-		if c.cfg.WAL != nil {
-			if err := c.cfg.WAL.AppendRoundOpen(round); err != nil {
-				return nil, nil, fmt.Errorf("fl: round %d: %w", round, err)
-			}
-			// Task assignments from a resumed round are already on disk.
-			for _, ex := range sampled {
-				if err := c.cfg.WAL.AppendTaskAssigned(round, ex.Name()); err != nil {
-					return nil, nil, fmt.Errorf("fl: round %d: %w", round, err)
-				}
-			}
-		}
-	}
-	// No fsync barrier before the executors start: file order gives the
-	// WAL a durable prefix (an fsync covering this round's open covers
-	// the previous commit too), and a lost suffix re-executes the round
-	// deterministically. The background syncer flushes the scatter while
-	// the executors train.
-	for _, ex := range sampled {
-		c.dispatch(ex, round, global)
-	}
-
-	tasked := len(sampled) + len(preSeeded)
-	quorum := c.cfg.MinClients
-	if quorum > tasked {
-		quorum = tasked
-	}
-	minUpdates := c.cfg.MinUpdates
-	if minUpdates <= 0 || minUpdates > tasked {
-		minUpdates = tasked
-	}
-	if minUpdates < quorum {
-		// An early aggregate below the quorum would always fail it; wait
-		// for the quorum before cutting the round short.
-		minUpdates = quorum
-	}
-
-	updates := preSeeded
-	pending := len(sampled)
-	if c.mon != nil {
-		return c.reconcileGather(ctx, round, global, rec, sampled, updates, late, pending, quorum, minUpdates)
-	}
-	deadlineAt, deadlineCh := gatherDeadline(c.cfg.Clock, c.cfg.RoundDeadline)
-gather:
-	for pending > 0 && len(updates) < minUpdates {
-		o, status := waitRecv(c.cfg.Clock, c.results, ctx.Done(), deadlineAt, deadlineCh)
-		switch status {
-		case waitDeadline:
-			// Stragglers stay in flight; their updates surface as late
-			// outcomes in a future round's gather (NVFlare's
-			// wait_time_after_min_received semantics, made durable).
-			c.met.stragglers.Add(int64(pending))
-			break gather
-		case waitCancelled:
-			return nil, nil, fmt.Errorf("fl: round %d cancelled: %w", round, ctx.Err())
-		}
-		delete(c.inFlight, o.name)
-		switch {
-		case o.err != nil:
-			rec.Failures = append(rec.Failures, fmt.Sprintf("%s: %v", o.name, o.err))
-			c.met.failure("exec")
-			if o.round == round {
-				pending--
-			}
-		case o.round == round:
-			pending--
-			if c.cfg.WAL != nil {
-				// Lazy append, group-committed by the WAL's syncer. A
-				// crash that loses it re-executes the client on resume —
-				// either way the round's participant set is consistent on
-				// disk and in memory.
-				if err := c.cfg.WAL.AppendUpdate(round, o.name, o.update.NumSamples,
-					o.update.TrainLoss, o.update.PayloadBytes, o.update.Weights); err != nil {
-					return nil, nil, fmt.Errorf("fl: round %d: %w", round, err)
-				}
-			}
-			updates = append(updates, o.update)
-		case c.cfg.AsyncAggregator != nil:
-			late = append(late, o.update)
-		default:
-			rec.LateDropped = append(rec.LateDropped, o.name)
-		}
-	}
-	if len(updates) < quorum {
-		return nil, nil, fmt.Errorf("fl: round %d quorum not met: %d/%d updates (failures: %v)",
-			round, len(updates), quorum, rec.Failures)
-	}
-	return updates, late, nil
-}
-
-// dispatch starts one executor on the round's task.
-func (c *Controller) dispatch(ex Executor, round int, global map[string]*tensor.Matrix) {
-	c.inFlight[ex.Name()] = true
-	c.cfg.Clock.Go(func() {
-		u, err := ex.ExecuteRound(round, global)
-		c.results <- execOutcome{update: u, err: err, name: ex.Name(), round: round}
-	})
-}
-
-// dispatchProbe starts a recovery probe of a demoted client. Executors
-// implementing Prober are actually probed; the rest trivially succeed —
-// for an in-process executor there is nothing to check beyond waiting
-// out the probe backoff.
-func (c *Controller) dispatchProbe(name string) {
-	ex := c.byName[name]
-	c.cfg.Clock.Go(func() {
-		var err error
-		if p, ok := ex.(Prober); ok {
-			err = p.Probe()
-		}
-		c.results <- execOutcome{name: name, err: err, probe: true}
-	})
-}
-
-// healthEdge records a health transition in metrics and — for the
-// durable pool-membership edges, quarantine entry and the rejoin
-// clearing it — in the WAL.
-func (c *Controller) healthEdge(round int, tr reconcile.Transition) error {
-	if !tr.Changed() {
-		return nil
-	}
-	c.met.healthTransition(c.mon, tr)
-	if c.cfg.WAL != nil && (tr.To == reconcile.Quarantined || tr.From == reconcile.Quarantined) {
-		if err := c.cfg.WAL.AppendHealth(round, tr.Client, tr.To.String()); err != nil {
-			return fmt.Errorf("fl: round %d: %w", round, err)
-		}
-	}
-	return nil
-}
-
-// absorbStale handles an outcome that is not part of the current round's
-// gather: recovery-probe results and previous rounds' stragglers
-// (failures, late updates). Shared by the between-rounds drain and the
-// parked-round wait.
-func (c *Controller) absorbStale(o execOutcome, round int, rec *RoundRecord, late *[]*ClientUpdate) error {
-	if o.probe {
-		res := "ok"
-		if o.err != nil {
-			res = "fail"
-		}
-		c.met.probe(res)
-		tr := c.mon.ProbeResult(o.name, o.err == nil, c.cfg.Clock.Now())
-		return c.healthEdge(round, tr)
-	}
-	delete(c.inFlight, o.name)
-	var tr reconcile.Transition
-	switch {
-	case o.err != nil:
-		rec.Failures = append(rec.Failures, fmt.Sprintf("%s: %v", o.name, o.err))
-		c.met.failure("exec")
-		if c.mon != nil {
-			tr = c.mon.Observe(o.name, false, c.cfg.Clock.Now())
-		}
-	case c.cfg.AsyncAggregator != nil:
-		*late = append(*late, o.update)
-		if c.mon != nil {
-			tr = c.mon.Observe(o.name, true, c.cfg.Clock.Now())
-		}
-	default:
-		rec.LateDropped = append(rec.LateDropped, o.name)
-		if c.mon != nil {
-			tr = c.mon.Observe(o.name, true, c.cfg.Clock.Now())
-		}
-	}
-	if c.mon != nil {
-		return c.healthEdge(round, tr)
-	}
-	return nil
-}
-
-// parkUntilEligible blocks a round whose sample pool is empty (every
-// executor demoted — mass failure) until a recovery probe readmits
-// someone, bounded by MaxPark. Straggler outcomes arriving meanwhile are
-// absorbed like the between-rounds drain.
-func (c *Controller) parkUntilEligible(ctx context.Context, round int, rec *RoundRecord, late *[]*ClientUpdate) error {
-	c.met.parked.Inc()
-	parkDeadline := c.cfg.Clock.Now().Add(c.pol.MaxPark)
-	for {
-		now := c.cfg.Clock.Now()
-		for _, ex := range c.executors {
-			if !c.inFlight[ex.Name()] && c.mon.Eligible(ex.Name()) {
-				return nil
-			}
-		}
-		if !now.Before(parkDeadline) {
-			return fmt.Errorf("fl: round %d: no eligible clients after parking %v (every executor demoted; failures so far: %v)",
-				round, c.pol.MaxPark, rec.Failures)
-		}
-		for _, name := range c.mon.DueProbes(now) {
-			c.dispatchProbe(name)
-		}
-		wake := parkDeadline
-		if at := c.mon.NextProbeAt(); !at.IsZero() && at.Before(wake) {
-			wake = at
-		}
-		at, ch := wakeChan(c.cfg.Clock, wake)
-		o, status := waitRecv(c.cfg.Clock, c.results, ctx.Done(), at, ch)
-		switch status {
-		case waitCancelled:
-			return fmt.Errorf("fl: round %d cancelled: %w", round, ctx.Err())
-		case waitDeadline:
-			continue
-		}
-		if err := c.absorbStale(o, round, rec, late); err != nil {
-			return err
-		}
-	}
-}
-
-// reconcileGather is the reconciliation-aware replacement for the legacy
-// gather loop: failed assignments are requeued with backoff and
-// re-dispatched (to the same client, or — with Substitute — an idle
-// eligible one) until the round deadline; demoted clients are probed and
-// may be re-tasked on recovery; and a round that can no longer reach its
-// aggregate trigger degrades (FedAsync partial finalize) or parks
-// awaiting probes, bounded by MaxPark, instead of deadlocking.
-func (c *Controller) reconcileGather(ctx context.Context, round int, global map[string]*tensor.Matrix, rec *RoundRecord,
-	sampled []Executor, updates, late []*ClientUpdate, pending, quorum, minUpdates int) ([]*ClientUpdate, []*ClientUpdate, error) {
-	var roundDeadlineAt time.Time
-	if c.cfg.RoundDeadline > 0 {
-		roundDeadlineAt = c.cfg.Clock.Now().Add(c.cfg.RoundDeadline)
-	}
-	rq := reconcile.NewQueue()
-	// assignment maps each in-flight executor to its current task so a
-	// failure knows the slot's attempt count and original owner.
-	assignment := make(map[string]reconcile.Task, len(sampled))
-	for _, ex := range sampled {
-		assignment[ex.Name()] = reconcile.Task{Client: ex.Name(), Round: round, Attempt: 1, Origin: ex.Name()}
-	}
-	participated := make(map[string]bool, len(updates))
-	for _, u := range updates {
-		participated[u.ClientName] = true
-	}
-	inSampled := make(map[string]bool, len(rec.Sampled))
-	for _, n := range rec.Sampled {
-		inSampled[n] = true
-	}
-
-	// redispatch hands a ready task to its client — or, when that client
-	// is busy, demoted, or already counted, to the first idle eligible
-	// substitute in roster order (deterministic). A task with no viable
-	// target is abandoned; its triggering failure is already recorded.
-	redispatch := func(t reconcile.Task) error {
-		target := t.Client
-		if c.inFlight[target] || participated[target] || !c.mon.Eligible(target) {
-			target = ""
-			if c.pol.Substitute {
-				for _, ex := range c.executors {
-					n := ex.Name()
-					if !c.inFlight[n] && !participated[n] && c.mon.Eligible(n) {
-						target = n
-						break
-					}
-				}
-			}
-		}
-		if target == "" {
-			return nil
-		}
-		assignment[target] = reconcile.Task{Client: target, Round: round, Attempt: t.Attempt, Origin: t.Origin}
-		rec.Reassigned = append(rec.Reassigned, t.Origin+">"+target)
-		if !inSampled[target] {
-			inSampled[target] = true
-			rec.Sampled = append(rec.Sampled, target)
-		}
-		if c.cfg.WAL != nil {
-			if err := c.cfg.WAL.AppendTaskAssigned(round, target); err != nil {
-				return fmt.Errorf("fl: round %d: %w", round, err)
-			}
-		}
-		c.dispatch(c.byName[target], round, global)
-		pending++
-		return nil
-	}
-
-	deadlineFired := false
-	parked := false
-	var parkDeadline time.Time
-	for {
-		now := c.cfg.Clock.Now()
-		if !deadlineFired && !roundDeadlineAt.IsZero() && !now.Before(roundDeadlineAt) {
-			deadlineFired = true
-			c.met.stragglers.Add(int64(pending))
-			// Queued retries die with the deadline; the failures that
-			// queued them are already in rec.Failures, so nothing is
-			// silently lost.
-			rq.Drain()
-		}
-		if len(updates) >= minUpdates {
-			break
-		}
-		if deadlineFired && len(updates) >= quorum {
-			break
-		}
-		if parked && !now.Before(parkDeadline) {
-			// Parking budget exhausted: degrade if the async path can
-			// finalize a partial round, else fall through to the quorum
-			// check below.
-			break
-		}
-		if !deadlineFired {
-			for _, t := range rq.Due(now) {
-				if err := redispatch(t); err != nil {
-					return nil, nil, err
-				}
-			}
-		}
-		for _, name := range c.mon.DueProbes(now) {
-			c.dispatchProbe(name)
-		}
-		if pending == 0 && rq.Len() == 0 {
-			// Starved: nothing in flight, nothing queued, below the
-			// trigger. Recoverable only if probes are running or
-			// scheduled; otherwise give up now.
-			if !c.mon.Probing() && c.mon.NextProbeAt().IsZero() {
-				break
-			}
-			if !parked {
-				parked = true
-				parkDeadline = now.Add(c.pol.MaxPark)
-				c.met.parked.Inc()
-			}
-		}
-		var wake time.Time
-		earliest := func(t time.Time) {
-			if !t.IsZero() && (wake.IsZero() || t.Before(wake)) {
-				wake = t
-			}
-		}
-		if !deadlineFired {
-			earliest(roundDeadlineAt)
-			earliest(rq.NextAt())
-		}
-		earliest(c.mon.NextProbeAt())
-		if parked {
-			earliest(parkDeadline)
-		}
-		at, ch := wakeChan(c.cfg.Clock, wake)
-		o, status := waitRecv(c.cfg.Clock, c.results, ctx.Done(), at, ch)
-		switch status {
-		case waitDeadline:
-			continue
-		case waitCancelled:
-			return nil, nil, fmt.Errorf("fl: round %d cancelled: %w", round, ctx.Err())
-		}
-		now = c.cfg.Clock.Now()
-		if o.probe {
-			res := "ok"
-			if o.err != nil {
-				res = "fail"
-			}
-			c.met.probe(res)
-			tr := c.mon.ProbeResult(o.name, o.err == nil, now)
-			if err := c.healthEdge(round, tr); err != nil {
-				return nil, nil, err
-			}
-			if o.err == nil {
-				// Revived mid-round: if the round still cannot reach its
-				// trigger with what is in flight and queued, task the
-				// recovered client (the parked-round resume path).
-				need := minUpdates
-				if deadlineFired {
-					need = quorum
-				}
-				if len(updates)+pending+rq.Len() < need && !participated[o.name] && !c.inFlight[o.name] {
-					if err := redispatch(reconcile.Task{Client: o.name, Round: round, Attempt: 1, Origin: "probe"}); err != nil {
-						return nil, nil, err
-					}
-				}
-			}
-			continue
-		}
-		delete(c.inFlight, o.name)
-		t, assigned := assignment[o.name]
-		if assigned {
-			delete(assignment, o.name)
-		}
-		switch {
-		case o.err != nil:
-			rec.Failures = append(rec.Failures, fmt.Sprintf("%s: %v", o.name, o.err))
-			c.met.failure("exec")
-			tr := c.mon.Observe(o.name, false, now)
-			if err := c.healthEdge(round, tr); err != nil {
-				return nil, nil, err
-			}
-			if o.round == round {
-				pending--
-				if assigned && !deadlineFired && t.Attempt < c.pol.MaxAssignAttempts {
-					readyAt := now.Add(c.pol.RequeueBackoff.Delay(t.Attempt - 1))
-					if roundDeadlineAt.IsZero() || readyAt.Before(roundDeadlineAt) {
-						rq.Add(reconcile.Task{Client: t.Client, Round: round, Attempt: t.Attempt + 1, Origin: t.Origin}, readyAt)
-						c.met.requeues.Inc()
-					}
-				}
-			}
-		case o.round == round:
-			pending--
-			tr := c.mon.Observe(o.name, true, now)
-			if err := c.healthEdge(round, tr); err != nil {
-				return nil, nil, err
-			}
-			if c.cfg.WAL != nil {
-				if err := c.cfg.WAL.AppendUpdate(round, o.name, o.update.NumSamples,
-					o.update.TrainLoss, o.update.PayloadBytes, o.update.Weights); err != nil {
-					return nil, nil, fmt.Errorf("fl: round %d: %w", round, err)
-				}
-			}
-			updates = append(updates, o.update)
-			participated[o.name] = true
-		case c.cfg.AsyncAggregator != nil:
-			tr := c.mon.Observe(o.name, true, now)
-			if err := c.healthEdge(round, tr); err != nil {
-				return nil, nil, err
-			}
-			late = append(late, o.update)
-		default:
-			tr := c.mon.Observe(o.name, true, now)
-			if err := c.healthEdge(round, tr); err != nil {
-				return nil, nil, err
-			}
-			rec.LateDropped = append(rec.LateDropped, o.name)
-		}
-	}
-	if len(updates) < quorum {
-		// Mass failure left the round short. The async path finalizes
-		// what it has as a degraded partial round — FedAsync already
-		// tolerates weight drift from missing participants — provided at
-		// least one update arrived; the synchronous path must fail.
-		if c.cfg.AsyncAggregator != nil && len(updates) > 0 {
-			rec.Degraded = true
-			c.met.degraded.Inc()
-			return updates, late, nil
-		}
-		return nil, nil, fmt.Errorf("fl: round %d quorum not met after reconciliation: %d/%d updates (failures: %v)",
-			round, len(updates), quorum, rec.Failures)
-	}
-	if len(updates) < minUpdates {
-		// At or above quorum but short of the trigger: the deadline or
-		// the parking budget cut a mass-failure round short.
-		rec.Degraded = true
-		c.met.degraded.Inc()
-	}
-	return updates, late, nil
 }
 
 // cloneWeights deep-copies a weight map.

@@ -188,8 +188,11 @@ func conformStraggler(t *testing.T, h Harness) {
 
 // conformQuorum: losing stragglers below the configured quorum always
 // fails the run — a deadline round must never publish a sub-quorum model.
+// Under a ReconcilePolicy the same starved round instead waits past the
+// deadline for the quorum and finalizes degraded when the slow clients
+// land: the policy split the round engine must keep.
 func conformQuorum(t *testing.T, h Harness) {
-	_, err := h.Run(RunSpec{
+	spec := RunSpec{
 		Rounds: 1, MinClients: 2,
 		RoundDeadline: 200 * time.Millisecond,
 		Clients: []ClientSpec{
@@ -197,9 +200,31 @@ func conformQuorum(t *testing.T, h Harness) {
 			{Name: "slow1", Samples: 10, Value: 2, Delay: 700 * time.Millisecond},
 			{Name: "slow2", Samples: 10, Value: 3, Delay: 700 * time.Millisecond},
 		},
-	})
+	}
+	_, err := h.Run(spec)
 	if err == nil || !strings.Contains(err.Error(), "quorum") {
 		t.Fatalf("want quorum error with 1/2 updates, got %v", err)
+	}
+
+	spec.Reconcile = &fl.ReconcilePolicy{
+		RequeueBackoff: fl.Backoff{Base: 20 * time.Millisecond, Max: 100 * time.Millisecond},
+		ProbeBackoff:   fl.Backoff{Base: time.Hour, Max: time.Hour},
+	}
+	res, err := h.Run(spec)
+	if err != nil {
+		t.Fatalf("reconciled round should wait for the quorum, got %v", err)
+	}
+	checkRecords(t, res)
+	rec := res.History.Rounds[0]
+	if len(rec.Participants) != 2 || !rec.Degraded {
+		t.Fatalf("participants %v degraded=%v, want 2 participants and a degraded round", rec.Participants, rec.Degraded)
+	}
+	const slow = 700 * time.Millisecond
+	if rec.Duration < slow {
+		t.Fatalf("round finalized after %v, before the slow clients could land (%v)", rec.Duration, slow)
+	}
+	if h.Deterministic() && rec.Duration != slow {
+		t.Fatalf("round finalized after %v, want exactly %v", rec.Duration, slow)
 	}
 }
 

@@ -1,7 +1,6 @@
 package fl
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -115,43 +114,30 @@ func (a *TierAggregator) Aggregate(updates []*ClientUpdate) (map[string]*tensor.
 	return root.Finalize()
 }
 
-// tierRound runs one round of the in-process controller through the
-// aggregation tiers: sampled executors train concurrently, each arriving
-// update is folded immediately into its edge shard's partial (and the
-// raw weights dropped — the streaming O(model) property), shard partials
-// merge up the configured tier widths with per-hop byte accounting, and
-// the root finalizes the exact FedAvg. Stragglers past the deadline are
-// dropped (recorded in LateDropped when they surface), mirroring the
-// legacy no-AsyncAggregator path.
-func (c *Controller) tierRound(ctx context.Context, round int, global map[string]*tensor.Matrix, rec *RoundRecord) (map[string]*tensor.Matrix, error) {
-	// Drain stragglers that finished between rounds so they become
-	// sample-able again (their updates land in LateDropped).
-	var late []*ClientUpdate
-drain:
-	for {
-		select {
-		case o := <-c.results:
-			if err := c.absorbStale(o, round, rec, &late); err != nil {
-				return nil, err
-			}
-		default:
-			break drain
-		}
-	}
+// tierSink is the in-process controller's fold-on-arrival sink: each
+// arriving update is folded immediately into its edge shard's partial
+// (and the raw weights dropped — the streaming O(model) property), and at
+// finalize the shard partials merge up the configured tier widths with
+// per-hop byte accounting before the root finalizes the exact FedAvg.
+// Stale updates never reach it: tier mode has no AsyncAggregator, so
+// they are dropped like the flat no-async path's.
+type tierSink struct {
+	shardOf map[string]int
+	shards  []*hier.Partial
+	scratch []*hier.Partial
+}
 
-	sampled, err := c.sampleClients()
-	if err != nil {
-		return nil, fmt.Errorf("fl: round %d: %w", round, err)
-	}
-	for _, ex := range sampled {
-		rec.Sampled = append(rec.Sampled, ex.Name())
-	}
-	// Deterministic shard map: contiguous blocks of the name-sorted
-	// sample, so the tier shape is a pure function of the sampled set.
-	names := append([]string(nil), rec.Sampled...)
+// newTierSink builds the deterministic shard map for a round: contiguous
+// blocks of the name-sorted sample, so the tier shape is a pure function
+// of the sampled set. Shard partials are recycled from round to round: a
+// nil slot still means "no update reached this shard", and a slot is
+// taken from the run-long scratch (Reset keeps its slabs) the first time
+// a shard folds. A reset partial accumulates bit-identically to a fresh
+// one.
+func (e *roundEngine) newTierSink(sampled []string) *tierSink {
+	names := append([]string(nil), sampled...)
 	sort.Strings(names)
-	widths := c.cfg.Tier.widths()
-	edges := widths[0]
+	edges := e.tier.widths()[0]
 	if edges > len(names) {
 		edges = len(names)
 	}
@@ -159,89 +145,33 @@ drain:
 	for i, n := range names {
 		shardOf[n] = i * edges / len(names)
 	}
-	// Shard partials are recycled from round to round: a nil slot still
-	// means "no update reached this shard", and a slot is taken from the
-	// run-long scratch (Reset keeps its slabs) the first time a shard
-	// folds. A reset partial accumulates bit-identically to a fresh one.
-	for len(c.tierShards) < edges {
-		c.tierShards = append(c.tierShards, hier.NewPartial())
+	for len(e.tierShards) < edges {
+		e.tierShards = append(e.tierShards, hier.NewPartial())
 	}
-	shards := make([]*hier.Partial, edges)
+	return &tierSink{shardOf: shardOf, shards: make([]*hier.Partial, edges), scratch: e.tierShards}
+}
 
-	for _, ex := range sampled {
-		c.dispatch(ex, round, global)
+func (s *tierSink) add(name string, u *ClientUpdate) error {
+	i := s.shardOf[name]
+	if s.shards[i] == nil {
+		s.shards[i] = s.scratch[i]
+		s.shards[i].Reset()
 	}
-	tasked := len(sampled)
-	quorum := c.cfg.MinClients
-	if quorum > tasked {
-		quorum = tasked
-	}
-	minUpdates := c.cfg.MinUpdates
-	if minUpdates <= 0 || minUpdates > tasked {
-		minUpdates = tasked
-	}
-	if minUpdates < quorum {
-		minUpdates = quorum
-	}
+	return s.shards[i].Fold(hier.Update{
+		ClientName: u.ClientName, Weights: u.Weights, NumSamples: u.NumSamples,
+		TrainLoss: u.TrainLoss, UpBytes: u.PayloadBytes, DownBytes: u.DownBytes,
+	})
+}
 
-	folded := 0
-	pending := tasked
-	deadlineAt, deadlineCh := gatherDeadline(c.cfg.Clock, c.cfg.RoundDeadline)
-gather:
-	for pending > 0 && folded < minUpdates {
-		o, status := waitRecv(c.cfg.Clock, c.results, ctx.Done(), deadlineAt, deadlineCh)
-		switch status {
-		case waitDeadline:
-			c.met.stragglers.Add(int64(pending))
-			break gather
-		case waitCancelled:
-			return nil, fmt.Errorf("fl: round %d cancelled: %w", round, ctx.Err())
-		}
-		delete(c.inFlight, o.name)
-		switch {
-		case o.err != nil:
-			rec.Failures = append(rec.Failures, fmt.Sprintf("%s: %v", o.name, o.err))
-			c.met.failure("exec")
-			if o.round == round {
-				pending--
-			}
-		case o.round == round:
-			pending--
-			s := shardOf[o.name]
-			if shards[s] == nil {
-				shards[s] = c.tierShards[s]
-				shards[s].Reset()
-			}
-			u := o.update
-			err := shards[s].Fold(hier.Update{
-				ClientName: u.ClientName, Weights: u.Weights, NumSamples: u.NumSamples,
-				TrainLoss: u.TrainLoss, UpBytes: u.PayloadBytes, DownBytes: u.DownBytes,
-			})
-			if err != nil {
-				// A malformed update is a per-client failure at its edge,
-				// not a federation abort: the shard rejects it and the
-				// round proceeds with everyone else.
-				rec.Failures = append(rec.Failures, fmt.Sprintf("%s: %v", o.name, err))
-				c.met.failure("reject")
-				continue
-			}
-			folded++
-		default:
-			rec.LateDropped = append(rec.LateDropped, o.name)
-		}
-	}
-	if folded < quorum {
-		return nil, fmt.Errorf("fl: round %d quorum not met: %d/%d updates (failures: %v)",
-			round, folded, quorum, rec.Failures)
-	}
-
-	// Merge up the tiers. Each hop accounts the exact wire size the
-	// level's partials would encode to — what an edge would have sent —
-	// without serializing them (EncodedSize is pinned against
-	// EncodePartial); merge order is index order, and exactness makes it
-	// irrelevant to the result anyway.
-	level := make([]*hier.Partial, 0, edges)
-	for _, p := range shards {
+// finalize merges the shard partials up the tiers. Each hop accounts the
+// exact wire size the level's partials would encode to — what an edge
+// would have sent — without serializing them (EncodedSize is pinned
+// against EncodePartial); merge order is index order, and exactness
+// makes it irrelevant to the result anyway.
+func (s *tierSink) finalize(e *roundEngine, _ map[string]*tensor.Matrix) (map[string]*tensor.Matrix, error) {
+	round, rec := e.r.round, e.r.rec
+	level := make([]*hier.Partial, 0, len(s.shards))
+	for _, p := range s.shards {
 		if p != nil {
 			level = append(level, p)
 		}
@@ -271,7 +201,7 @@ gather:
 		}
 		return nil
 	}
-	for _, width := range widths[1:] {
+	for _, width := range e.tier.widths()[1:] {
 		if width > len(level) {
 			width = len(level)
 		}
