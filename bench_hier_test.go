@@ -1,13 +1,12 @@
 // Benchmark for the streaming-aggregation tax: what folding each arriving
-// update into an expansion partial, climbing the tier merges and
-// finalizing through big.Float costs, relative to the identical flat
-// round. BenchmarkTable3_FLRoundHierLSTM and its control
+// update into a shard partial, climbing the tier merges and finalizing
+// costs, relative to the identical flat round. BenchmarkTable3_FLRoundHierLSTM and its control
 // BenchmarkTable3_FLRoundFlatLSTM run the same cohort, executors and
 // round shape — 8 clients with 3 local batches each, a round where
 // training dominates the way it does in any real federation — differing
 // only in ControllerConfig.Tier, so their ratio isolates the tier tax.
-// CI gates the overhead at 5% via bench_check's A/B mode, so exactness
-// and O(model) root state stay affordable on the training hot path.
+// CI gates the overhead at 5% via bench_check's A/B mode, so the tier
+// and its O(model) root state stay affordable on the training hot path.
 package clinfl_test
 
 import (

@@ -26,8 +26,8 @@
 // hierarchy: registered peers may be edge aggregators that fold their
 // own clients' updates into O(model) partial aggregates and uplink only
 // the merged partial. The root merges partials (and any directly
-// attached plain clients — a mixed fleet is fine) into exact FedAvg,
-// identical to the flat result; -clients then counts direct registrants
+// attached plain clients — a mixed fleet is fine) into FedAvg,
+// bit-identical to the flat result; -clients then counts direct registrants
 // (edges plus plain clients), not leaves. Incompatible with -fedasync,
 // -quarantine-after, and -wal, which all need raw per-client updates at
 // the root. Without -tier, partial-aggregate uplinks are rejected.
@@ -96,7 +96,7 @@ func run() error {
 		fedasync   = flag.Bool("fedasync", false, "fold stragglers' late updates in with staleness weighting instead of dropping them")
 		codec      = flag.String("codec", "raw", "downlink weight codec: raw | f32 | int8 | topk[:fraction]")
 		allowTopK  = flag.Bool("allow-topk-uplink", false, "accept clients' lossy top-k uplink codec (zeroes most of each full weight map; otherwise they fall back to raw)")
-		tier       = flag.Bool("tier", false, "act as the root of an aggregation hierarchy: accept edge aggregators' partial-aggregate uplinks and merge them as exact streaming FedAvg (incompatible with -fedasync, -quarantine-after, -wal)")
+		tier       = flag.Bool("tier", false, "act as the root of an aggregation hierarchy: accept edge aggregators' partial-aggregate uplinks and merge them as streaming FedAvg (incompatible with -fedasync, -quarantine-after, -wal)")
 
 		quarantineAfter = flag.Int("quarantine-after", 0, "enable the reconciliation control plane: quarantine a client after this many consecutive failures, requeue lost task assignments, probe demoted clients (0 = legacy single-shot rounds)")
 		probeInterval   = flag.Duration("probe-interval", 30*time.Second, "base delay between recovery probes of a demoted client (doubles per failed probe; needs -quarantine-after)")

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"clinfl/internal/fl/hier"
 	"clinfl/internal/nn"
@@ -53,7 +54,10 @@ type Aggregator interface {
 }
 
 // FedAvg is the sample-count-weighted parameter average of McMahan et al.,
-// NVFlare's default aggregator and the one the paper's pipeline uses.
+// NVFlare's default aggregator and the one the paper's pipeline uses. It
+// folds every update into a one-node hier.Partial, so its bits are the
+// reproducible binned sum the aggregation tier computes — independent of
+// update order, and identical to any tier shape's.
 type FedAvg struct{}
 
 // Name implements Aggregator.
@@ -61,9 +65,7 @@ func (FedAvg) Name() string { return "fedavg" }
 
 // Aggregate implements Aggregator.
 func (FedAvg) Aggregate(updates []*ClientUpdate) (map[string]*tensor.Matrix, error) {
-	return weightedAverage(updates, func(u *ClientUpdate) float64 {
-		return float64(u.NumSamples)
-	})
+	return foldAverage(updates, func(u *ClientUpdate) int { return u.NumSamples })
 }
 
 // MeanAggregator averages updates uniformly regardless of client data
@@ -75,43 +77,43 @@ func (MeanAggregator) Name() string { return "mean" }
 
 // Aggregate implements Aggregator.
 func (MeanAggregator) Aggregate(updates []*ClientUpdate) (map[string]*tensor.Matrix, error) {
-	return weightedAverage(updates, func(*ClientUpdate) float64 { return 1 })
+	return foldAverage(updates, func(*ClientUpdate) int { return 1 })
 }
 
-// weightedAverage merges updates with the given weight function.
-func weightedAverage(updates []*ClientUpdate, weightOf func(*ClientUpdate) float64) (map[string]*tensor.Matrix, error) {
+// rootPartial keeps the flat root's accumulator between Aggregate calls,
+// so a federation aggregating the same model every round reuses its
+// O(model) bin slabs instead of allocating them per round. It is not a
+// sync.Pool: a pool empties over two GC cycles, which an aggregation-heavy
+// workload runs between rounds, and then every round allocates the slabs
+// again. Callers take it with Swap(nil), so concurrent Aggregate calls
+// never share one (the second allocates its own), and put it back when
+// done; what it holds never changes a result.
+var rootPartial atomic.Pointer[hier.Partial]
+
+// takeRoot returns an empty partial, the kept one when there is one.
+func takeRoot() *hier.Partial {
+	if p := rootPartial.Swap(nil); p != nil {
+		p.Reset()
+		return p
+	}
+	return hier.NewPartial()
+}
+
+// foldAverage folds updates, weighted by weightOf, into the root
+// accumulator and finalizes their weighted mean.
+func foldAverage(updates []*ClientUpdate, weightOf func(*ClientUpdate) int) (map[string]*tensor.Matrix, error) {
 	if len(updates) == 0 {
 		return nil, errors.New("fl: no updates to aggregate")
 	}
-	var total float64
+	root := takeRoot()
+	defer rootPartial.Store(root)
 	for _, u := range updates {
-		w := weightOf(u)
-		if w <= 0 {
-			return nil, fmt.Errorf("fl: client %q has non-positive weight %v", u.ClientName, w)
-		}
-		total += w
-	}
-	ref := updates[0].Weights
-	out := make(map[string]*tensor.Matrix, len(ref))
-	for name, m := range ref {
-		out[name] = tensor.New(m.Rows(), m.Cols())
-	}
-	for _, u := range updates {
-		if len(u.Weights) != len(ref) {
-			return nil, fmt.Errorf("fl: client %q sent %d params, want %d", u.ClientName, len(u.Weights), len(ref))
-		}
-		w := weightOf(u) / total
-		for name, acc := range out {
-			m, ok := u.Weights[name]
-			if !ok {
-				return nil, fmt.Errorf("fl: client %q missing param %q", u.ClientName, name)
-			}
-			if err := acc.AddScaledInPlace(w, m); err != nil {
-				return nil, fmt.Errorf("fl: aggregate %q from %q: %w", name, u.ClientName, err)
-			}
+		err := root.Fold(hier.Update{ClientName: u.ClientName, Weights: u.Weights, NumSamples: weightOf(u)})
+		if err != nil {
+			return nil, fmt.Errorf("fl: aggregate: %w", err)
 		}
 	}
-	return out, nil
+	return root.Finalize()
 }
 
 // AsyncAggregator folds a single (possibly stale) update into the current

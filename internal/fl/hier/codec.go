@@ -13,14 +13,15 @@ import (
 // weight-codec magics (CFLQ1/CFLS1/CFLI1): a tier node sends its merged
 // partial upward as a MsgUpdate whose payload carries this header, which
 // is how a tier-aware root tells a partial from a plain weight map.
-const PartialMagic = "CFHP1\n"
+// Version 2 carries fixed-width bins; a version-1 (expansion) partial is
+// rejected as malformed.
+const PartialMagic = "CFHP2\n"
 
 // Decoder hardening caps: fail fast on corrupt or hostile headers
 // instead of allocating unbounded buffers.
 const (
 	maxParams       = 1 << 14 // distinct parameter tensors
 	maxElems        = 1 << 26 // total elements across all params
-	maxComponents   = 64      // expansion components per element (nonoverlap bounds ~40)
 	maxNameLen      = 256
 	maxEntryLen     = 1 << 10 // participant / failure strings
 	maxParticipants = 1 << 21
@@ -57,35 +58,50 @@ func writeString(buf *bytes.Buffer, s string) {
 	buf.WriteString(s)
 }
 
-func writeExpansion(buf *bytes.Buffer, e expansion) {
-	writeU16(buf, uint16(len(e)))
-	for _, c := range e {
-		writeU64(buf, math.Float64bits(c))
+// writeSum writes the window top, then the bins.
+func writeSum(buf *bytes.Buffer, ps *paramSum) {
+	buf.WriteByte(byte(ps.top))
+	for _, v := range ps.bins {
+		writeU64(buf, math.Float64bits(v))
 	}
 }
 
-// EncodePartial serializes p deterministically: parameters sorted by
-// name and accounting lists sorted, so a given fold sequence always
-// encodes to identical bytes. (Different fold orders of the same updates
-// represent the same exact value but may lay it out across different
-// expansion components; Finalize — not the wire image — is the
-// order-independent quantity.)
-func EncodePartial(p *Partial) ([]byte, error) {
+// sumSize is writeSum's output length.
+func (ps *paramSum) sumSize() int64 { return 1 + 8*int64(len(ps.bins)) }
+
+// checkEncodable applies the caps the decoder enforces, so nothing is
+// encoded that would not decode.
+func (p *Partial) checkEncodable() error {
 	for _, s := range p.participants {
 		if len(s) > maxNameLen {
-			return nil, fmt.Errorf("hier: encode: participant name %d bytes exceeds %d", len(s), maxNameLen)
+			return fmt.Errorf("hier: encode: participant name %d bytes exceeds %d", len(s), maxNameLen)
 		}
 	}
 	for _, s := range p.failures {
 		if len(s) > maxEntryLen {
-			return nil, fmt.Errorf("hier: encode: failure entry %d bytes exceeds %d", len(s), maxEntryLen)
+			return fmt.Errorf("hier: encode: failure entry %d bytes exceeds %d", len(s), maxEntryLen)
 		}
+	}
+	for name := range p.params {
+		if len(name) > maxNameLen {
+			return fmt.Errorf("hier: encode: param name %d bytes exceeds %d", len(name), maxNameLen)
+		}
+	}
+	if p.updates > math.MaxUint32 || p.merged > math.MaxUint32 {
+		return fmt.Errorf("hier: encode: counters %d/%d exceed the wire's 32 bits", p.updates, p.merged)
+	}
+	return nil
+}
+
+// EncodePartial serializes p deterministically: parameters sorted by
+// name and accounting lists sorted, so a given fold sequence always
+// encodes to identical bytes. Every element is binK bins.
+func EncodePartial(p *Partial) ([]byte, error) {
+	if err := p.checkEncodable(); err != nil {
+		return nil, err
 	}
 	names := make([]string, 0, len(p.params))
 	for name := range p.params {
-		if len(name) > maxNameLen {
-			return nil, fmt.Errorf("hier: encode: param name %d bytes exceeds %d", len(name), maxNameLen)
-		}
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -96,7 +112,7 @@ func EncodePartial(p *Partial) ([]byte, error) {
 	writeU64(&buf, uint64(p.weight))
 	writeU32(&buf, uint32(p.updates))
 	writeU32(&buf, uint32(p.merged))
-	writeExpansion(&buf, p.lossSum)
+	writeSum(&buf, p.loss)
 	parts, fails := p.Participants(), p.Failures()
 	writeU32(&buf, uint32(len(parts)))
 	for _, s := range parts {
@@ -114,12 +130,7 @@ func EncodePartial(p *Partial) ([]byte, error) {
 		writeString(&buf, name)
 		writeU32(&buf, uint32(ps.rows))
 		writeU32(&buf, uint32(ps.cols))
-		for _, e := range ps.sums {
-			if len(e) > maxComponents {
-				return nil, fmt.Errorf("hier: encode: %q expansion has %d components, cap %d", name, len(e), maxComponents)
-			}
-			writeExpansion(&buf, e)
-		}
+		writeSum(&buf, ps)
 	}
 	return buf.Bytes(), nil
 }
@@ -129,18 +140,11 @@ func EncodePartial(p *Partial) ([]byte, error) {
 // accounting (the in-process controller's tier climb) skips building a
 // model-sized buffer per hop. codec_test pins the two against each other.
 func (p *Partial) EncodedSize() (int64, error) {
-	for _, s := range p.participants {
-		if len(s) > maxNameLen {
-			return 0, fmt.Errorf("hier: encode: participant name %d bytes exceeds %d", len(s), maxNameLen)
-		}
-	}
-	for _, s := range p.failures {
-		if len(s) > maxEntryLen {
-			return 0, fmt.Errorf("hier: encode: failure entry %d bytes exceeds %d", len(s), maxEntryLen)
-		}
+	if err := p.checkEncodable(); err != nil {
+		return 0, err
 	}
 	size := int64(len(PartialMagic)) + 4 + 8 + 4 + 4 // magic, nparams, weight, updates, merged
-	size += 2 + 8*int64(len(p.lossSum))
+	size += p.loss.sumSize()
 	size += 4
 	for _, s := range p.participants {
 		size += 2 + int64(len(s))
@@ -151,16 +155,7 @@ func (p *Partial) EncodedSize() (int64, error) {
 	}
 	size += 8 + 8 + 8 // bytesUp, bytesDown, tierBytes
 	for name, ps := range p.params {
-		if len(name) > maxNameLen {
-			return 0, fmt.Errorf("hier: encode: param name %d bytes exceeds %d", len(name), maxNameLen)
-		}
-		size += 2 + int64(len(name)) + 4 + 4
-		for _, e := range ps.sums {
-			if len(e) > maxComponents {
-				return 0, fmt.Errorf("hier: encode: %q expansion has %d components, cap %d", name, len(e), maxComponents)
-			}
-			size += 2 + 8*int64(len(e))
-		}
+		size += 2 + int64(len(name)) + 4 + 4 + ps.sumSize()
 	}
 	return size, nil
 }
@@ -217,27 +212,37 @@ func (d *decoder) str(maxLen int) (string, error) {
 	return s, nil
 }
 
-func (d *decoder) expansion() (expansion, error) {
-	n, err := d.u16()
-	if err != nil {
-		return nil, err
+// sum reads one writeSum image, checking the payload length exactly
+// against rows·cols·binK and every bin for validity. It also returns the
+// load the bins carry, recomputed rather than trusted.
+func (d *decoder) sum(rows, cols int) (*paramSum, int, error) {
+	if d.off >= len(d.b) {
+		return nil, 0, d.fail("truncated window top")
 	}
-	if int(n) > maxComponents {
-		return nil, d.fail("expansion has %d components, cap %d", n, maxComponents)
+	top := int(d.b[d.off])
+	d.off++
+	if top > topMax {
+		return nil, 0, d.fail("window top %d beyond the grid", top)
 	}
-	if d.off+8*int(n) > len(d.b) {
-		return nil, d.fail("truncated expansion")
+	n := rows * cols * binK
+	if int64(n)*8 > int64(len(d.b)-d.off) {
+		return nil, 0, d.fail("%d bins exceed remaining payload", n)
 	}
-	if n == 0 {
-		return nil, nil
-	}
-	e := make(expansion, n)
-	for i := range e {
-		bits := binary.LittleEndian.Uint64(d.b[d.off:])
+	ps := &paramSum{rows: rows, cols: cols, top: top, bins: make([]float64, n)}
+	// Each bin sum must be a whole number of its ulps, below fullLoad
+	// slice units.
+	var load float64
+	for j := range ps.bins {
+		v := math.Float64frombits(binary.LittleEndian.Uint64(d.b[d.off:]))
 		d.off += 8
-		e[i] = math.Float64frombits(bits)
+		units := v * pow2(-ulpExp(top+j/(rows*cols))-unitExp) // exact: a power-of-two scale
+		if !(math.Abs(units) < fullLoad) || units*(1<<unitExp) != math.Trunc(units*(1<<unitExp)) {
+			return nil, 0, d.fail("invalid bin %v", v)
+		}
+		ps.bins[j] = v
+		load = max(load, math.Abs(units))
 	}
-	return e, nil
+	return ps, int(math.Ceil(load)), nil
 }
 
 func (d *decoder) strList(count uint32, maxLen int) ([]string, error) {
@@ -289,7 +294,7 @@ func DecodePartial(blob []byte) (*Partial, error) {
 	if err != nil {
 		return nil, err
 	}
-	lossSum, err := d.expansion()
+	loss, load, err := d.sum(1, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -335,7 +340,8 @@ func DecodePartial(blob []byte) (*Partial, error) {
 	p.weight = int64(weight)
 	p.updates = int(updates)
 	p.merged = int(merged)
-	p.lossSum = lossSum
+	p.loss = loss
+	p.load = load
 	p.participants = participants
 	p.failures = failures
 	p.bytesUp = int64(bytesUp)
@@ -372,19 +378,13 @@ func DecodePartial(blob []byte) (*Partial, error) {
 		if totalElems > maxElems {
 			return nil, d.fail("total elements exceed %d", maxElems)
 		}
-		// Each element costs at least its 2-byte component header.
-		if elems*2 > int64(len(d.b)-d.off) {
-			return nil, d.fail("param %q elements exceed remaining payload", name)
+		ps, load, err := d.sum(int(rows), int(cols))
+		if err != nil {
+			return nil, err
 		}
-		ps := &paramSum{rows: int(rows), cols: int(cols), sums: make([]expansion, elems)}
-		for j := range ps.sums {
-			e, err := d.expansion()
-			if err != nil {
-				return nil, err
-			}
-			ps.sums[j] = e
-		}
+		ps.name = name
 		p.params[name] = ps
+		p.load = max(p.load, load)
 	}
 	if d.off != len(d.b) {
 		return nil, d.fail("%d trailing bytes", len(d.b)-d.off)

@@ -140,7 +140,7 @@ func FuzzDecodePartial(f *testing.F) {
 	}
 	f.Add(seed)
 	f.Add([]byte(PartialMagic))
-	f.Add([]byte("CFHP1\n\x01\x00\x00\x00"))
+	f.Add([]byte(PartialMagic + "\x01\x00\x00\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		q, err := DecodePartial(data)
 		if err != nil {
@@ -157,6 +157,57 @@ func FuzzDecodePartial(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestDecodeRejectsVersion1: an expansion-format (CFHP1) partial from an
+// older node is malformed, not misread as bins.
+func TestDecodeRejectsVersion1(t *testing.T) {
+	blob, err := EncodePartial(testPartial(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := append([]byte("CFHP1\n"), blob[len(PartialMagic):]...)
+	if IsPartial(v1) {
+		t.Fatal("IsPartial accepted a version-1 partial")
+	}
+	if _, err := DecodePartial(v1); !errors.Is(err, ErrBadPartial) {
+		t.Fatalf("err = %v, want ErrBadPartial", err)
+	}
+}
+
+// TestDecodeRejectsInvalidBins: bins that are not whole ulps of their
+// grid bin, or exceed the load a bin can hold, and window tops off the
+// grid are all ErrBadPartial — a decoded partial is always one folds
+// could build.
+func TestDecodeRejectsInvalidBins(t *testing.T) {
+	p := testPartial(t)
+	blob, err := EncodePartial(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The last param in the blob ("w", sorted after "b") ends with its
+	// elems·binK bins, after its window top.
+	bins := len(blob) - 8*p.params["w"].rows*p.params["w"].cols*binK
+	top := p.params["w"].top
+	put := func(v float64) []byte {
+		b := append([]byte(nil), blob...)
+		binary.LittleEndian.PutUint64(b[bins:], math.Float64bits(v))
+		return b
+	}
+	badTop := append([]byte(nil), blob...)
+	badTop[bins-1] = topMax + 1
+	cases := map[string][]byte{
+		"fractional ulp": put(math.Float64frombits(math.Float64bits(pow2(ulpExp(top))) + 1)),
+		"full load":      put(pow2(ulpExp(top) + 52)),
+		"nan bin":        put(math.NaN()),
+		"inf bin":        put(math.Inf(-1)),
+		"window top":     badTop,
+	}
+	for name, b := range cases {
+		if _, err := DecodePartial(b); !errors.Is(err, ErrBadPartial) {
+			t.Errorf("%s: err = %v, want ErrBadPartial", name, err)
+		}
+	}
 }
 
 func TestEncodedSizeMatchesEncodePartial(t *testing.T) {

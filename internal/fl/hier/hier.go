@@ -1,321 +1,37 @@
-// Package hier implements streaming hierarchical FedAvg: a Partial
-// accumulates client updates one at a time into an exact running
-// weighted sum (per parameter element) plus an exact total weight, and
-// Partials merge associatively, so an aggregation tree of any shape —
-// flat, two-tier, lopsided — finalizes to bit-identical global weights.
-// The resident state of any node is O(model), independent of how many
-// clients fed into it, which is what lets an edge-aggregator tier front
-// tens of thousands of clients without the root buffering every update.
+// Package hier implements streaming, reproducible FedAvg: a Partial
+// folds client updates in one at a time, Partials merge in any order,
+// and an aggregation tree of any shape — flat, two-tier, lopsided —
+// finalizes to bit-identical global weights. The flat root (fl.FedAvg)
+// is a one-node tree over the same accumulator, so flat, tier and edge
+// deployments agree bit for bit on any input. The resident state of any
+// node is O(model), independent of how many clients fed into it, which
+// is what lets an edge-aggregator tier front tens of thousands of
+// clients without the root buffering every update.
 //
-// Exactness is the whole trick. Floating-point addition is not
-// associative, so a naive running float64 sum would make the result
-// depend on arrival order and tree shape. Instead each element's sum is
-// kept as a Shewchuk floating-point expansion (a nonoverlapping sequence
-// of float64 components whose exact sum is the represented value): folds
-// add the exact product weight·value via an FMA-derived two-product, and
-// merges add the components of one expansion into the other. Finalize
-// converts the exact sum to the correctly-rounded float64 quotient
-// sum/weight via math/big, which depends only on the represented value —
-// never on the component representation a particular fold order produced.
+// Floating-point addition is not associative, so a naive running sum
+// would make the result depend on arrival order and tree shape. Each
+// element's weighted sum is instead kept as a reproducible binned sum
+// (bins.go): a fixed-width window of pre-rounded bins whose contents
+// are the same whatever order the deposits arrive in. Finalize adds the
+// bins and divides by the exact total weight.
+//
+// The result is reproducible, not correctly rounded. Per element, with
+// n updates of weights w_i and values v_i, W = Σ w_i, and M the largest
+// |fl(w_i·v_i)| over every element of the tensor:
+//
+//	|result − Σ w_i·v_i / W| ≤ 2^−52·|result| + (2^−53·Σ|w_i·v_i| + n·2^−64·M) / W
+//
+// That is the error of correctly rounding the rounded products, plus
+// 2^−64 of the tensor's largest weighted value per update.
 package hier
 
 import (
 	"fmt"
 	"math"
-	"math/big"
 	"sort"
 
 	"clinfl/internal/tensor"
 )
-
-// expansion is a Shewchuk floating-point expansion: components in
-// increasing-magnitude order, mutually nonoverlapping, whose exact sum
-// is the represented value. A nil/empty expansion represents zero.
-// Nonoverlap bounds the length by the float64 exponent range (~40
-// components worst case), which is what keeps Partial state O(model).
-type expansion []float64
-
-// twoSum returns s = fl(a+b) and the exact roundoff err with
-// a + b = s + err (Knuth's branch-free TWO-SUM).
-func twoSum(a, b float64) (s, err float64) {
-	s = a + b
-	bv := s - a
-	av := s - bv
-	err = (a - av) + (b - bv)
-	return s, err
-}
-
-// grow adds q into the expansion in place (Shewchuk GROW-EXPANSION with
-// zero elimination) and returns the possibly-reallocated slice.
-func (e expansion) grow(q float64) expansion {
-	n := 0
-	for i := 0; i < len(e); i++ {
-		s, err := twoSum(q, e[i])
-		q = s
-		if err != 0 {
-			e[n] = err // n <= i, safe in place
-			n++
-		}
-	}
-	e = e[:n]
-	if q != 0 {
-		e = append(e, q)
-	}
-	return e
-}
-
-// growProduct adds the exact product a·b into the expansion. The product
-// splits into hi = fl(a·b) and the FMA-recovered roundoff lo with
-// a·b = hi + lo exactly; grow(lo) then grow(hi) would add both, but as
-// two full passes over the components. This runs the identical pair of
-// cascades pipelined in one pass — the hi cascade consumes the lo
-// cascade's roundoff stream as it is produced, in the same order the
-// second grow would read it, so the arithmetic (and the resulting
-// component sequence) is bit-for-bit the two-pass one's. Folding is
-// memory-bound at model scale, making the saved pass the whole point.
-func (e expansion) growProduct(a, b float64) expansion {
-	hi := a * b
-	lo := math.FMA(a, b, -hi)
-	if lo == 0 {
-		return e.grow(hi)
-	}
-	// out aliases e's backing array; the write index trails the read index
-	// (each component read appends at most one roundoff), so in-place is
-	// safe, and the tail appends past the loop may grow the slice normally.
-	out := e[:0]
-	emit := func(c float64) {
-		s, err := twoSum(hi, c)
-		hi = s
-		if err != 0 {
-			out = append(out, err)
-		}
-	}
-	for i := 0; i < len(e); i++ {
-		s, err := twoSum(lo, e[i])
-		lo = s
-		if err != 0 {
-			emit(err)
-		}
-	}
-	if lo != 0 {
-		emit(lo)
-	}
-	if hi != 0 {
-		out = append(out, hi)
-	}
-	return out
-}
-
-// merge adds o's components into e.
-func (e expansion) merge(o expansion) expansion {
-	for _, c := range o {
-		e = e.grow(c)
-	}
-	return e
-}
-
-// finite reports whether every component is a finite float64. Overflow
-// mid-sum (inputs are validated finite) poisons components with ±Inf/NaN;
-// callers fall back to naive summation to propagate the non-finite value
-// the way a plain float64 sum would.
-func (e expansion) finite() bool {
-	for _, c := range e {
-		if math.IsInf(c, 0) || math.IsNaN(c) {
-			return false
-		}
-	}
-	return true
-}
-
-// expPrec is the big.Float precision used when converting an expansion
-// to its exact value: finite float64s span binary exponents -1074..971,
-// so any sum of them fits in well under 2100 significand bits.
-const expPrec = 2200
-
-// bigVal returns the exact value of the expansion as a big.Float.
-func (e expansion) bigVal() *big.Float {
-	acc := new(big.Float).SetPrec(expPrec)
-	var t big.Float
-	for _, c := range e {
-		acc.Add(acc, t.SetFloat64(c))
-	}
-	return acc
-}
-
-// round converts the exact sum to the nearest float64. The result
-// depends only on the represented value, not on the component layout, so
-// any fold/merge order yields identical bits.
-func (e expansion) round() float64 {
-	switch len(e) {
-	case 0:
-		return 0
-	case 1:
-		return e[0]
-	}
-	if !e.finite() {
-		var s float64
-		for _, c := range e {
-			s += c
-		}
-		return s
-	}
-	f, _ := e.bigVal().Float64()
-	return f
-}
-
-// divider carries reusable big.Float scratch for many exact divisions by
-// the same weight, so a model-sized Finalize pays per-element arithmetic,
-// not per-element 2200-bit allocations.
-type divider struct {
-	w           int64
-	num, den, q big.Float
-	t           big.Float
-	scr         expansion
-}
-
-func newDivider(w int64) *divider {
-	d := &divider{w: w}
-	d.num.SetPrec(expPrec)
-	d.den.SetInt64(w)
-	// The quotient is rounded once, straight to float64 precision: Quo of
-	// the two exact operands correctly rounds to q's 53-bit significand,
-	// and Float64 is then exact. (Dividing at expPrec and converting after
-	// gives the same bits — the intermediate precision is far beyond
-	// harmful-double-rounding range — but costs a 2200-bit division per
-	// element.)
-	d.q.SetPrec(53)
-	return d
-}
-
-// quo returns the correctly-rounded float64 of (exact sum of e) / w. The
-// float64 fast path settles almost every element; exactQuo is the
-// arbiter for the rare near-tie it cannot prove. Both paths compute the
-// same pure function of the represented value, so which one runs never
-// shows in the result.
-func (d *divider) quo(e expansion) float64 {
-	if !e.finite() {
-		var s float64
-		for _, c := range e {
-			s += c
-		}
-		return s / float64(d.w)
-	}
-	if q, ok := d.fastQuo(e); ok {
-		return q
-	}
-	return d.exactQuo(e)
-}
-
-// exactQuo divides through expPrec-bit arithmetic: the numerator sum is
-// exact, and Quo's single rounding to 53 bits is the correctly-rounded
-// quotient.
-func (d *divider) exactQuo(e expansion) float64 {
-	d.num.SetInt64(0)
-	for _, c := range e {
-		d.num.Add(&d.num, d.t.SetFloat64(c))
-	}
-	q, _ := d.q.Quo(&d.num, &d.den).Float64()
-	return q
-}
-
-// fastQuo attempts the division in plain float64: estimate the quotient,
-// recover the exact residual with an error-free product, correct, and
-// accept only when the corrected value provably cannot sit within the
-// correction's error bound of a rounding boundary. On accept the result
-// IS the correctly-rounded quotient — acceptance means every value the
-// true quotient could be rounds to the same float64 — so the fast path
-// never changes a single bit relative to exactQuo, it only skips it.
-func (d *divider) fastQuo(e expansion) (float64, bool) {
-	if len(e) == 0 {
-		return 0, true
-	}
-	if d.w >= 1<<53 {
-		return 0, false // float64(w) would round; let the exact path handle it
-	}
-	fw := float64(d.w)
-	// Components are nonoverlapping in increasing magnitude order, so the
-	// ascending naive sum is a faithful estimate (relative error well
-	// under 2^-47 for <= ~40 components).
-	var s float64
-	for _, c := range e {
-		s += c
-	}
-	q0 := s / fw
-	if math.IsInf(q0, 0) || q0 == 0 {
-		return 0, false // overflow or underflow-to-zero scale: exact path decides
-	}
-	// Exact residual r = e - q0·w via an error-free product; the true
-	// quotient is exactly q0 + r/w.
-	ph := q0 * fw
-	pl := math.FMA(q0, fw, -ph)
-	if math.IsInf(ph, 0) {
-		return 0, false
-	}
-	r := append(d.scr[:0], e...)
-	r = r.grow(-ph)
-	if pl != 0 {
-		r = r.grow(-pl)
-	}
-	d.scr = r
-	// Track whether rs is the exact sum of the residual: every twoSum
-	// roundoff must vanish. Exact rs plus an exact division means the
-	// true quotient is exactly h + l — then even a dead-on rounding tie
-	// is decidable here, which matters because FedAvg with power-of-two
-	// total weight lands on exact midpoints constantly.
-	var rs float64
-	rsExact := true
-	for _, c := range r {
-		var roundoff float64
-		rs, roundoff = twoSum(rs, c)
-		if roundoff != 0 {
-			rsExact = false
-		}
-	}
-	q1 := rs / fw
-	h, l := twoSum(q0, q1)
-	if math.IsInf(h, 0) || h == 0 {
-		return 0, false
-	}
-	// The rounding interval is asymmetric at power-of-two boundaries;
-	// measure the half-ulp on the side l points to.
-	ah := math.Abs(h)
-	bound := (math.Nextafter(ah, math.Inf(1)) - ah) / 2
-	if l < 0 {
-		bound = (ah - math.Nextafter(ah, 0)) / 2
-	}
-	al := math.Abs(l)
-	if rsExact && math.FMA(q1, fw, -rs) == 0 {
-		// q == h + l exactly.
-		switch {
-		case al < bound:
-			return h, true
-		case al == bound:
-			// True midpoint: round half to even.
-			if math.Float64bits(h)&1 == 0 {
-				return h, true
-			}
-			if l > 0 {
-				return math.Nextafter(h, math.Inf(1)), true
-			}
-			return math.Nextafter(h, math.Inf(-1)), true
-		}
-		return 0, false
-	}
-	// Inexact correction: true quotient = h + l + eta with |eta| <=
-	// |q1|·2^-40 (a generous cover of q1's ~2^-46 relative error). Accept
-	// only when h+l±eta stays strictly inside h's rounding interval.
-	eta := math.Abs(q1) * 0x1p-40
-	if al+eta < bound && eta < al+bound {
-		return h, true
-	}
-	return 0, false
-}
-
-// quo returns the correctly-rounded float64 of (exact sum of e) / w.
-func (e expansion) quo(w int64) float64 { return newDivider(w).quo(e) }
-
-// residentBytes is the component storage the expansion occupies.
-func (e expansion) residentBytes() int64 { return int64(len(e)) * 8 }
 
 // Update is one leaf client's contribution as seen by an aggregator.
 type Update struct {
@@ -324,7 +40,7 @@ type Update struct {
 	// NumSamples weights the update, exactly as flat FedAvg does.
 	NumSamples int
 	// TrainLoss is the client's mean local training loss; partials carry
-	// the exact loss·samples sum so tier-aggregated mean loss matches
+	// the binned loss·samples sum so tier-aggregated mean loss matches
 	// what the root would have computed from the raw updates.
 	TrainLoss float64
 	// UpBytes / DownBytes are the leaf's encoded transfer sizes, summed
@@ -333,35 +49,71 @@ type Update struct {
 	DownBytes int
 }
 
-// paramSum is the running exact weighted sum for one parameter tensor.
+// paramSum is the running binned weighted sum for one parameter tensor:
+// a window top shared by every element, and a slab of binK planes.
 type paramSum struct {
+	name       string
 	rows, cols int
-	sums       []expansion // rows*cols element sums
+	top        int       // grid bin at the window's top
+	bins       []float64 // planesOf(bins, rows*cols)
+	next       int       // window top the update being folded needs
 }
 
-// newSums carves n empty expansions with perElem capacity each out of one
-// backing slab, so the first perElem components an element accumulates
-// never hit the allocator (a model-sized Fold would otherwise pay a
-// handful of slice growths per element). An expansion that outgrows its
-// window falls back to ordinary append reallocation.
-func newSums(n, perElem int) []expansion {
-	slab := make([]float64, n*perElem)
-	sums := make([]expansion, n)
-	for i := range sums {
-		sums[i] = slab[i*perElem : i*perElem : (i+1)*perElem]
-	}
-	return sums
+func newParamSum(name string, rows, cols int) *paramSum {
+	return &paramSum{name: name, rows: rows, cols: cols, top: topMax, bins: make([]float64, rows*cols*binK)}
 }
+
+func (ps *paramSum) planes() planes { return planesOf(ps.bins, ps.rows*ps.cols) }
+
+// deposit adds w·xs into the bins, stopping at the first value that
+// does not fit the window; it returns how many it deposited.
+func (ps *paramSum) deposit(w float64, xs []float64) int {
+	return deposit(ps.planes(), extractors(ps.top), pow2(ulpExp(ps.top)+unitExp), w, xs)
+}
+
+func (ps *paramSum) reset() {
+	ps.top = topMax
+	clear(ps.bins)
+}
+
+// raise moves the window's top up to grid bin top, if that is higher.
+func (ps *paramSum) raise(top int) {
+	if top < ps.top {
+		shift(ps.planes(), ps.top-top)
+		ps.top = top
+	}
+}
+
+// merge adds o's sums into ps (same shape).
+func (ps *paramSum) merge(o *paramSum) {
+	ps.raise(o.top)
+	mergeBins(ps.planes(), o.planes(), o.top-ps.top)
+}
+
+// mean writes each element's sum divided by w into dst: the bins added
+// high to low as an unevaluated pair, then one division.
+func (ps *paramSum) mean(dst []float64, w float64) {
+	b := ps.planes()
+	b0, b1, b2 := b[0][:len(dst)], b[1][:len(dst)], b[2][:len(dst)]
+	for i := range dst {
+		hi, lo := twoSumAcc(b0[i], 0, b1[i])
+		hi, lo = twoSumAcc(hi, lo, b2[i])
+		dst[i] = quotient(hi, lo, w)
+	}
+}
+
+func (ps *paramSum) residentBytes() int64 { return 48 + 8*int64(len(ps.bins)) }
 
 // Partial is a streaming partial FedAvg aggregate: fold updates in as
 // they arrive, merge sibling partials in any order, finalize once at the
 // root. The zero value is not usable; call NewPartial.
 type Partial struct {
 	params  map[string]*paramSum
-	weight  int64 // Σ NumSamples, exact
-	updates int   // leaf updates folded in (transitively)
-	merged  int   // child partials merged in (transitively)
-	lossSum expansion
+	loss    *paramSum // Σ TrainLoss·NumSamples, one element
+	load    int       // bound on every bin sum, in slice units (< fullLoad)
+	weight  int64     // Σ NumSamples, exact
+	updates int       // leaf updates folded in (transitively)
+	merged  int       // child partials merged in (transitively)
 
 	participants []string
 	failures     []string
@@ -372,29 +124,62 @@ type Partial struct {
 
 // NewPartial returns an empty partial aggregate.
 func NewPartial() *Partial {
-	return &Partial{params: make(map[string]*paramSum)}
+	return &Partial{params: make(map[string]*paramSum), loss: newParamSum("", 1, 1)}
 }
 
-// Fold accumulates one client update. Validation mirrors the flat
-// weightedAverage: non-positive weight, param-count mismatch, missing
-// params, and shape mismatches are errors (recorded by callers as
-// per-client failures); additionally non-finite values are rejected so
-// one poisoned client cannot silently NaN the exact accumulators.
+// empty reports whether nothing has been aggregated into p.
+func (p *Partial) empty() bool { return p.updates == 0 && p.weight == 0 }
+
+// sameSchema reports whether p's params are exactly n tensors with the
+// shapes shapeOf reports.
+func (p *Partial) sameSchema(n int, shapeOf func(name string) (rows, cols int, ok bool)) bool {
+	if len(p.params) != n {
+		return false
+	}
+	for name, ps := range p.params {
+		r, c, ok := shapeOf(name)
+		if !ok || r != ps.rows || c != ps.cols {
+			return false
+		}
+	}
+	return true
+}
+
+// Fold accumulates one client update. Non-positive weight, param-count
+// mismatch, missing params and shape mismatches are errors (recorded by
+// callers as per-client failures); so are non-finite values, and values
+// whose weighted magnitude reaches 2^1000, beyond the bin grid. A
+// rejected update leaves the partial unchanged.
 func (p *Partial) Fold(u Update) error {
 	if u.NumSamples <= 0 {
 		return fmt.Errorf("hier: client %q has non-positive weight %d", u.ClientName, u.NumSamples)
 	}
-	if math.IsInf(u.TrainLoss, 0) || math.IsNaN(u.TrainLoss) {
-		return fmt.Errorf("hier: client %q reported non-finite train loss", u.ClientName)
-	}
-	if len(p.params) > 0 && len(u.Weights) != len(p.params) {
-		return fmt.Errorf("hier: client %q sent %d params, want %d", u.ClientName, len(u.Weights), len(p.params))
-	}
 	w := float64(u.NumSamples)
-	if len(p.params) == 0 {
-		for name, m := range u.Weights {
-			p.params[name] = &paramSum{rows: m.Rows(), cols: m.Cols(), sums: newSums(m.Size(), 4)}
+	lim := maxAbs / w
+	if !(math.Abs(u.TrainLoss) < lim) {
+		if math.IsInf(u.TrainLoss, 0) || math.IsNaN(u.TrainLoss) {
+			return fmt.Errorf("hier: client %q reported non-finite train loss", u.ClientName)
 		}
+		return fmt.Errorf("hier: client %q train loss %g is beyond the aggregation range", u.ClientName, u.TrainLoss)
+	}
+	if int64(u.NumSamples) > math.MaxInt64-p.weight {
+		return fmt.Errorf("hier: client %q overflows the total weight", u.ClientName)
+	}
+	shapeOf := func(name string) (int, int, bool) {
+		m, ok := u.Weights[name]
+		if !ok {
+			return 0, 0, false
+		}
+		return m.Rows(), m.Cols(), true
+	}
+	if p.empty() && !p.sameSchema(len(u.Weights), shapeOf) {
+		p.params = make(map[string]*paramSum, len(u.Weights))
+		for name, m := range u.Weights {
+			p.params[name] = newParamSum(name, m.Rows(), m.Cols())
+		}
+	}
+	if len(u.Weights) != len(p.params) {
+		return fmt.Errorf("hier: client %q sent %d params, want %d", u.ClientName, len(u.Weights), len(p.params))
 	}
 	for name, ps := range p.params {
 		m, ok := u.Weights[name]
@@ -405,42 +190,75 @@ func (p *Partial) Fold(u Update) error {
 			return fmt.Errorf("hier: client %q param %q is %dx%d, want %dx%d",
 				u.ClientName, name, m.Rows(), m.Cols(), ps.rows, ps.cols)
 		}
-		for _, v := range m.Data() {
-			if math.IsInf(v, 0) || math.IsNaN(v) {
-				return fmt.Errorf("hier: client %q param %q has non-finite value", u.ClientName, name)
+	}
+	if p.load+1 >= fullLoad {
+		return fmt.Errorf("hier: client %q: partial already holds the maximum %d updates", u.ClientName, fullLoad-1)
+	}
+	if !p.tryDeposit(u.Weights, w) {
+		// Some value is out of its window, or not finite: validate, raise
+		// the windows that need it, and deposit.
+		for name, ps := range p.params {
+			// max |v| < lim, compared as bit patterns; NaN and ±Inf fail it.
+			mb := maxAbsBits(u.Weights[name].Data())
+			if mb >= math.Float64bits(lim) {
+				if mb >= math.Float64bits(math.Inf(1)) {
+					return fmt.Errorf("hier: client %q param %q has non-finite value", u.ClientName, name)
+				}
+				return fmt.Errorf("hier: client %q param %q has value %g beyond the aggregation range",
+					u.ClientName, name, math.Float64frombits(mb))
 			}
+			ps.next = topFor(w * math.Float64frombits(mb))
+		}
+		for name, ps := range p.params {
+			ps.raise(ps.next)
+			ps.deposit(w, u.Weights[name].Data())
 		}
 	}
-	for name, ps := range p.params {
-		data := u.Weights[name].Data()
-		for i, v := range data {
-			ps.sums[i] = ps.sums[i].growProduct(w, v)
-		}
-	}
+	loss := [1]float64{u.TrainLoss}
+	p.loss.raise(topFor(w * u.TrainLoss))
+	p.loss.deposit(w, loss[:])
+	p.load++
 	p.weight += int64(u.NumSamples)
 	p.updates++
-	p.lossSum = p.lossSum.growProduct(w, u.TrainLoss)
 	p.participants = append(p.participants, u.ClientName)
 	p.bytesUp += int64(u.UpBytes)
 	p.bytesDown += int64(u.DownBytes)
 	return nil
 }
 
+// tryDeposit deposits every param of an update that fits the current
+// windows. If some value does not fit (or is not finite) it takes back
+// what it deposited — depositing −w·v undoes w·v bit for bit while the
+// window stays put — and reports false.
+func (p *Partial) tryDeposit(weights map[string]*tensor.Matrix, w float64) bool {
+	var buf [16]*paramSum
+	done := buf[:0]
+	for name, ps := range p.params {
+		data := weights[name].Data()
+		if n := ps.deposit(w, data); n < len(data) {
+			ps.deposit(-w, data[:n])
+			for _, d := range done {
+				d.deposit(-w, weights[d.name].Data())
+			}
+			return false
+		}
+		done = append(done, ps)
+	}
+	return true
+}
+
 // Reset returns the partial to the empty state while retaining its
-// parameter schema and component storage, so a caller aggregating the
-// same model round after round (the controller's tier shards) reuses the
-// slabs instead of reallocating and zeroing O(model) memory every round.
-// A reset partial folds and merges exactly like a fresh NewPartial —
-// expansions truncate to empty, and grow never reads past an expansion's
-// length — it just skips the schema adoption on first fold.
+// parameter schema and slabs, so a caller aggregating the same model
+// round after round (the flat root, the controller's tier shards) reuses
+// them instead of reallocating O(model) memory every round. A reset
+// partial folds and merges exactly like a fresh NewPartial: an update or
+// partial of a different schema replaces the retained one.
 func (p *Partial) Reset() {
 	for _, ps := range p.params {
-		for i := range ps.sums {
-			ps.sums[i] = ps.sums[i][:0]
-		}
+		ps.reset()
 	}
-	p.weight, p.updates, p.merged = 0, 0, 0
-	p.lossSum = p.lossSum[:0]
+	p.loss.reset()
+	p.load, p.weight, p.updates, p.merged = 0, 0, 0, 0
 	p.participants = p.participants[:0]
 	p.failures = p.failures[:0]
 	p.bytesUp, p.bytesDown, p.tierBytes = 0, 0, 0
@@ -451,57 +269,59 @@ func (p *Partial) Reset() {
 func (p *Partial) Fail(entry string) { p.failures = append(p.failures, entry) }
 
 // Merge folds another partial into this one. Merging is associative and
-// commutative on the represented values, so any tree shape finalizes
-// identically. An empty side adopts the other's parameter schema.
+// commutative on the bins, so any tree shape finalizes identically. An
+// empty side adopts the other's parameter schema. Counters that would
+// overflow are an error, and leave p unchanged.
 func (p *Partial) Merge(o *Partial) error {
-	if o == nil || o.updates == 0 && o.weight == 0 {
+	if o == nil || o.empty() {
 		// Nothing aggregated below; still take its accounting.
 		if o != nil {
 			p.absorbAccounting(o)
 		}
 		return nil
 	}
-	if len(p.params) == 0 {
+	if o.weight > math.MaxInt64-p.weight {
+		return fmt.Errorf("hier: merge: total weight %d + %d overflows", p.weight, o.weight)
+	}
+	if o.updates > math.MaxInt-p.updates || o.merged >= math.MaxInt-p.merged {
+		return fmt.Errorf("hier: merge: update counters %d + %d overflow", p.updates, o.updates)
+	}
+	if p.load+o.load >= fullLoad {
+		return fmt.Errorf("hier: merge: partials would exceed the maximum %d updates", fullLoad-1)
+	}
+	shapeOf := func(name string) (int, int, bool) {
+		ops, ok := o.params[name]
+		if !ok {
+			return 0, 0, false
+		}
+		return ops.rows, ops.cols, true
+	}
+	if p.empty() && !p.sameSchema(len(o.params), shapeOf) {
 		p.params = make(map[string]*paramSum, len(o.params))
-		for name, ps := range o.params {
-			// Slab the copy too, with headroom beyond each element's
-			// current length so the merges that follow adoption stay off
-			// the allocator as well.
-			total := 0
-			for _, e := range ps.sums {
-				total += max(len(e), 2) + 2
-			}
-			slab := make([]float64, total)
-			cp := &paramSum{rows: ps.rows, cols: ps.cols, sums: make([]expansion, len(ps.sums))}
-			off := 0
-			for i, e := range ps.sums {
-				c := max(len(e), 2) + 2
-				cp.sums[i] = append(slab[off:off:off+c], e...)
-				off += c
-			}
-			p.params[name] = cp
-		}
-	} else {
-		if len(o.params) != len(p.params) {
-			return fmt.Errorf("hier: merge: partial has %d params, want %d", len(o.params), len(p.params))
-		}
 		for name, ops := range o.params {
-			ps, ok := p.params[name]
-			if !ok {
-				return fmt.Errorf("hier: merge: partial missing param %q", name)
-			}
-			if ops.rows != ps.rows || ops.cols != ps.cols {
-				return fmt.Errorf("hier: merge: param %q is %dx%d, want %dx%d",
-					name, ops.rows, ops.cols, ps.rows, ps.cols)
-			}
-			for i := range ps.sums {
-				ps.sums[i] = ps.sums[i].merge(ops.sums[i])
-			}
+			p.params[name] = newParamSum(name, ops.rows, ops.cols)
 		}
 	}
+	if len(o.params) != len(p.params) {
+		return fmt.Errorf("hier: merge: partial has %d params, want %d", len(o.params), len(p.params))
+	}
+	for name, ps := range p.params {
+		ops, ok := o.params[name]
+		if !ok {
+			return fmt.Errorf("hier: merge: partial missing param %q", name)
+		}
+		if ops.rows != ps.rows || ops.cols != ps.cols {
+			return fmt.Errorf("hier: merge: param %q is %dx%d, want %dx%d",
+				name, ops.rows, ops.cols, ps.rows, ps.cols)
+		}
+	}
+	for name, ps := range p.params {
+		ps.merge(o.params[name])
+	}
+	p.loss.merge(o.loss)
+	p.load += o.load
 	p.weight += o.weight
 	p.updates += o.updates
-	p.lossSum = p.lossSum.merge(o.lossSum)
 	p.absorbAccounting(o)
 	p.merged += o.merged + 1
 	return nil
@@ -515,8 +335,8 @@ func (p *Partial) absorbAccounting(o *Partial) {
 	p.tierBytes += o.tierBytes
 }
 
-// Finalize computes the FedAvg result: for each element the correctly
-// rounded float64 of exact_weighted_sum / total_weight.
+// Finalize computes the FedAvg result: for each element the binned
+// weighted sum divided by the total weight.
 func (p *Partial) Finalize() (map[string]*tensor.Matrix, error) {
 	if p.updates == 0 {
 		return nil, fmt.Errorf("hier: no updates to aggregate")
@@ -526,14 +346,11 @@ func (p *Partial) Finalize() (map[string]*tensor.Matrix, error) {
 	if p.weight <= 0 {
 		return nil, fmt.Errorf("hier: partial claims %d updates but non-positive weight %d", p.updates, p.weight)
 	}
-	div := newDivider(p.weight)
+	w := float64(p.weight)
 	out := make(map[string]*tensor.Matrix, len(p.params))
 	for name, ps := range p.params {
 		m := tensor.New(ps.rows, ps.cols)
-		data := m.Data()
-		for i, e := range ps.sums {
-			data[i] = div.quo(e)
-		}
+		ps.mean(m.Data(), w)
 		out[name] = m
 	}
 	return out, nil
@@ -554,7 +371,9 @@ func (p *Partial) MeanLoss() float64 {
 	if p.weight == 0 {
 		return 0
 	}
-	return p.lossSum.quo(p.weight)
+	m := [1]float64{}
+	p.loss.mean(m[:], float64(p.weight))
+	return m[0]
 }
 
 // Participants returns the sorted names of every client folded in.
@@ -586,21 +405,16 @@ func (p *Partial) TierBytes() int64 { return p.tierBytes }
 // from, a tier hop).
 func (p *Partial) AddTierBytes(n int64) { p.tierBytes += n }
 
-// ResidentBytes reports the aggregation state this partial holds:
-// expansion component storage plus fixed per-param overhead. It is the
-// O(model) quantity the tier exists to bound — it grows with model size
-// and (slowly) with accumulated precision demand, never with the number
-// of clients folded in. Participant/failure name lists (O(16 B) per
-// client, needed for the round record either way) are accounting, not
-// aggregation state, and are excluded.
+// ResidentBytes reports the aggregation state this partial holds: the
+// bin slabs plus fixed per-param overhead. It is the O(model) quantity
+// the tier exists to bound — fixed by the model's size, never by the
+// number of clients folded in. Participant/failure name lists (O(16 B) per client, needed
+// for the round record either way) are accounting, not aggregation
+// state, and are excluded.
 func (p *Partial) ResidentBytes() int64 {
-	var n int64 = 64 // struct + counters
+	n := 64 + p.loss.residentBytes() // struct + counters
 	for _, ps := range p.params {
-		n += 48 // paramSum header
-		for _, e := range ps.sums {
-			n += 24 + e.residentBytes() // slice header + components
-		}
+		n += ps.residentBytes()
 	}
-	n += 24 + p.lossSum.residentBytes()
 	return n
 }

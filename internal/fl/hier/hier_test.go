@@ -1,11 +1,13 @@
 package hier_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"clinfl/internal/fl"
 	"clinfl/internal/fl/hier"
@@ -19,7 +21,7 @@ func randomUpdate(r *rand.Rand, name string, shapes map[string][2]int) hier.Upda
 		data := m.Data()
 		for i := range data {
 			// Arbitrary finite floats across ~24 decades of magnitude:
-			// exactness must not depend on benign value ranges.
+			// reproducibility must not depend on benign value ranges.
 			data[i] = (r.Float64()*2 - 1) * math.Pow(2, float64(r.Intn(80)-40))
 		}
 		weights[pname] = m
@@ -108,7 +110,8 @@ func assertBitIdentical(t *testing.T, a, b map[string]*tensor.Matrix, label stri
 // TestTreeShapeBitIdentical is the core hierarchical invariant: FedAvg
 // through any aggregation tree — any shard split, any merge order, any
 // fold order — finalizes to exactly the same bits, on arbitrary finite
-// floats, because partial sums are exact and finalization rounds once.
+// floats, because every bin holds the same sum of slices whatever the
+// order.
 func TestTreeShapeBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 20; trial++ {
@@ -141,41 +144,160 @@ func TestTreeShapeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMatchesFlatFedAvgOnDyadicInputs pins streaming-vs-flat bit
-// identity against the production flat aggregator: when client weights
-// divide the total exactly in binary (total = power of two) and values
-// have few significand bits, flat weightedAverage is itself exact, so
-// the hierarchical result must equal it bit for bit.
-func TestMatchesFlatFedAvgOnDyadicInputs(t *testing.T) {
-	vals := []float64{1.5, -2.25, 0.125, 3, -0.5, 7.75, 42, -18.5}
-	samples := []int{8, 16, 24, 16} // total 64 = 2^6
-	flat := make([]*fl.ClientUpdate, len(samples))
-	stream := hier.NewPartial()
-	for i, s := range samples {
-		weights := make(map[string]*tensor.Matrix)
-		for pname, sh := range testShapes {
-			m := tensor.New(sh[0], sh[1])
-			data := m.Data()
-			for j := range data {
-				data[j] = vals[(i+j)%len(vals)] * float64(i+1)
+// TestTreeMatchesFlatFedAvgProperty is the one-FedAvg property: on
+// random non-dyadic updates — sample counts that are not powers of two,
+// values with full significands and magnitudes spread over 2^±30 — any
+// aggregation tree, in any arrival order, finalizes to exactly the bits
+// of fl.FedAvg's flat aggregate of the same updates in another order,
+// and the result is within the documented error bound of the exact
+// weighted mean (checked against the Shewchuk-expansion oracle).
+func TestTreeMatchesFlatFedAvgProperty(t *testing.T) {
+	prop := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := 2 + r.Intn(40)
+		updates := make([]hier.Update, n)
+		flat := make([]*fl.ClientUpdate, n)
+		for i := range updates {
+			weights := make(map[string]*tensor.Matrix, len(testShapes))
+			for pname, sh := range testShapes {
+				m := tensor.New(sh[0], sh[1])
+				for j := range m.Data() {
+					m.Data()[j] = (r.Float64()*2 - 1) * math.Pow(2, float64(r.Intn(61)-30))
+				}
+				weights[pname] = m
 			}
-			weights[pname] = m
+			name := fmt.Sprintf("site-%03d", i)
+			updates[i] = hier.Update{ClientName: name, Weights: weights, NumSamples: 1 + r.Intn(5000)}
+			flat[i] = &fl.ClientUpdate{ClientName: name, Weights: weights, NumSamples: updates[i].NumSamples}
 		}
-		name := fmt.Sprintf("site-%d", i)
-		flat[i] = &fl.ClientUpdate{ClientName: name, Weights: weights, NumSamples: s}
-		if err := stream.Fold(hier.Update{ClientName: name, Weights: weights, NumSamples: s}); err != nil {
+		r.Shuffle(n, func(i, j int) { flat[i], flat[j] = flat[j], flat[i] })
+		want, err := (fl.FedAvg{}).Aggregate(flat)
+		if err != nil {
 			t.Fatal(err)
 		}
+		got, err := foldTree(t, r, updates).Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitIdentical(t, want, got, fmt.Sprintf("seed %d: tree vs flat", seed))
+		if err := hier.CheckErrorBound(updates, got); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+			return false
+		}
+		return true
 	}
-	want, err := (fl.FedAvg{}).Aggregate(flat)
-	if err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(13))}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := stream.Finalize()
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestRejectedFoldLeavesNoTrace: an update rejected for a non-finite
+// value — after other params of it, or earlier elements of the same
+// param, were already deposited — must leave the partial bit for bit as
+// if it never arrived, including when the bad update would also have
+// raised a window.
+func TestRejectedFoldLeavesNoTrace(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	good := make([]hier.Update, 6)
+	for i := range good {
+		good[i] = randomUpdate(r, fmt.Sprintf("ok-%d", i), testShapes)
 	}
-	assertBitIdentical(t, want, got, "dyadic flat-vs-stream")
+	for trial := 0; trial < 20; trial++ {
+		clean, dirty := hier.NewPartial(), hier.NewPartial()
+		for i, u := range good {
+			if err := clean.Fold(u); err != nil {
+				t.Fatal(err)
+			}
+			if err := dirty.Fold(u); err != nil {
+				t.Fatal(err)
+			}
+			if i != 2 {
+				continue
+			}
+			bad := randomUpdate(r, "bad", testShapes)
+			if trial%2 == 1 {
+				bad.Weights["layer.w"].Data()[0] = 0x1p90 // would raise the window
+			}
+			bad.Weights["layer.w"].Data()[1+r.Intn(11)] = math.NaN()
+			if err := dirty.Fold(bad); err == nil || !strings.Contains(err.Error(), "non-finite value") {
+				t.Fatalf("trial %d: bad fold err = %v", trial, err)
+			}
+		}
+		want, err := clean.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := dirty.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitIdentical(t, want, got, fmt.Sprintf("trial %d", trial))
+		if clean.Updates() != dirty.Updates() || clean.MeanLoss() != dirty.MeanLoss() {
+			t.Fatalf("trial %d: rejected fold changed the counters", trial)
+		}
+	}
+}
+
+// TestMergeValidation: a merge that does not fit is an error and leaves
+// the receiving partial unchanged — including total weights that would
+// overflow int64, which a decoded partial can claim up to MaxInt64.
+func TestMergeValidation(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	withWeight := func(w uint64) *hier.Partial {
+		p := hier.NewPartial()
+		if err := p.Fold(randomUpdate(r, "leaf", testShapes)); err != nil {
+			t.Fatal(err)
+		}
+		blob, err := hier.EncodePartial(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint64(blob[len(hier.PartialMagic)+4:], w) // weight follows the param count
+		q, err := hier.DecodePartial(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	folded := func(shapes map[string][2]int) *hier.Partial {
+		p := hier.NewPartial()
+		if err := p.Fold(randomUpdate(r, "other", shapes)); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	cases := []struct {
+		name  string
+		left  *hier.Partial
+		right *hier.Partial
+		want  string
+	}{
+		{"param count", folded(testShapes), folded(map[string][2]int{"layer.w": {3, 4}}), "params, want"},
+		{"missing param", folded(testShapes), folded(map[string][2]int{"layer.w": {3, 4}, "other": {1, 4}}), "missing param"},
+		{"shape", folded(testShapes), folded(map[string][2]int{"layer.w": {3, 4}, "layer.b": {2, 2}}), "want 1x4"},
+		{"weight overflow", withWeight(math.MaxInt64 - 3), withWeight(5), "overflows"},
+		{"weight overflow at max", withWeight(math.MaxInt64), withWeight(math.MaxInt64), "overflows"},
+	}
+	for _, tc := range cases {
+		weight, updates := tc.left.Weight(), tc.left.Updates()
+		before, err := tc.left.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = tc.left.Merge(tc.right)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want containing %q", tc.name, err, tc.want)
+			continue
+		}
+		if tc.left.Weight() != weight || tc.left.Updates() != updates {
+			t.Errorf("%s: rejected merge changed weight/updates to %d/%d", tc.name, tc.left.Weight(), tc.left.Updates())
+		}
+		after, err := tc.left.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitIdentical(t, before, after, tc.name)
+	}
 }
 
 func TestFoldValidation(t *testing.T) {
@@ -258,8 +380,7 @@ func TestAccountingAndMeanLoss(t *testing.T) {
 
 // TestResidentBytesIndependentOfClientCount is the O(model) property:
 // folding 10x the updates must not grow the partial's resident state
-// meaningfully (expansion lengths are bounded by the float64 exponent
-// range, not by client count).
+// (binK float64s per element, whatever the client count).
 func TestResidentBytesIndependentOfClientCount(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	p := hier.NewPartial()
@@ -283,15 +404,32 @@ func TestResidentBytesIndependentOfClientCount(t *testing.T) {
 	}
 }
 
-func BenchmarkPartialFold(b *testing.B) {
+// foldBenchUpdates is the sim-tier-2k fold shape: 64 updates of one
+// 1x4096 parameter, non-dyadic weights and values.
+func foldBenchUpdates() []hier.Update {
 	r := rand.New(rand.NewSource(3))
 	updates := make([]hier.Update, 64)
 	for i := range updates {
-		updates[i] = randomUpdate(r, fmt.Sprintf("c%d", i), testShapes)
+		m := tensor.New(1, 4096)
+		for j := range m.Data() {
+			m.Data()[j] = r.NormFloat64()
+		}
+		updates[i] = hier.Update{ClientName: fmt.Sprintf("c%d", i),
+			Weights: map[string]*tensor.Matrix{"w": m}, NumSamples: 1 + r.Intn(500)}
 	}
+	return updates
+}
+
+// BenchmarkPartialFold folds the 64 updates into a partial reused
+// round to round (Reset, as the flat root and the tier shards do) and
+// finalizes. CI gates it at 3x BenchmarkNaiveFold.
+func BenchmarkPartialFold(b *testing.B) {
+	updates := foldBenchUpdates()
+	p := hier.NewPartial()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := hier.NewPartial()
+		p.Reset()
 		for _, u := range updates {
 			if err := p.Fold(u); err != nil {
 				b.Fatal(err)
@@ -299,6 +437,26 @@ func BenchmarkPartialFold(b *testing.B) {
 		}
 		if _, err := p.Finalize(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkNaiveFold is BenchmarkPartialFold's control: the plain
+// weighted average, acc += (w/W)·v per update, order-dependent bits.
+func BenchmarkNaiveFold(b *testing.B) {
+	updates := foldBenchUpdates()
+	var total float64
+	for _, u := range updates {
+		total += float64(u.NumSamples)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		acc := tensor.New(1, 4096)
+		for _, u := range updates {
+			if err := acc.AddScaledInPlace(float64(u.NumSamples)/total, u.Weights["w"]); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

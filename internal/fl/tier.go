@@ -11,14 +11,15 @@ import (
 	"clinfl/internal/tensor"
 )
 
-// TierConfig enables hierarchical streaming aggregation (ROADMAP item 1):
-// client updates fold into O(model) partial aggregates at tier nodes as
-// they arrive, and only merged partials flow upward, so the root never
-// buffers per-client weight maps. Aggregation stays exact — hier.Partial
-// accumulates in floating-point expansions and rounds once at finalize —
-// so any tier shape produces bit-identical global weights (pinned in
-// fltest). Nil TierConfig keeps the legacy flat path bit-for-bit
-// unchanged.
+// TierConfig enables hierarchical streaming aggregation: client updates
+// fold into O(model) partial aggregates at tier nodes as they arrive,
+// and only merged partials flow upward, so the root never buffers
+// per-client weight maps. Aggregation is reproducible — hier.Partial
+// keeps a binned sum whose bits do not depend on arrival order or tree
+// shape — so every tier shape, an edge deployment and the flat FedAvg
+// root produce bit-identical global weights (pinned in fltest), within
+// the error bound the hier package documents. Nil TierConfig keeps the
+// flat path.
 type TierConfig struct {
 	// Aggregators lists the fan-in widths of the aggregation tiers
 	// between the sampled clients and the root, leaf-most first, for the
@@ -64,7 +65,7 @@ func validateTier(t *TierConfig, agg Aggregator, async AsyncAggregator,
 	}
 	if agg != nil {
 		if _, ok := agg.(FedAvg); !ok {
-			return errors.New("fl: tier aggregation implies exact streaming FedAvg; custom Aggregator not supported")
+			return errors.New("fl: tier aggregation implies streaming FedAvg; custom Aggregator not supported")
 		}
 	}
 	return nil
@@ -73,8 +74,8 @@ func validateTier(t *TierConfig, agg Aggregator, async AsyncAggregator,
 // TierAggregator is the root-side Aggregator a tier-enabled Server
 // installs: updates from hier.Edge nodes carry decoded partials and are
 // merged; plain client updates (a mixed fleet is fine) are folded
-// directly. The result is exact FedAvg over every leaf, identical to
-// what a flat server would produce. The exported fields snapshot the
+// directly. The result is the reproducible FedAvg over every leaf,
+// bit-identical to what a flat server would produce. The exported fields snapshot the
 // last Aggregate call's tier accounting for the round record.
 type TierAggregator struct {
 	// Partials counts the lower-tier partials merged.
@@ -91,7 +92,8 @@ func (a *TierAggregator) Name() string { return "hier-fedavg" }
 
 // Aggregate implements Aggregator.
 func (a *TierAggregator) Aggregate(updates []*ClientUpdate) (map[string]*tensor.Matrix, error) {
-	root := hier.NewPartial()
+	root := takeRoot()
+	defer rootPartial.Store(root)
 	a.Partials, a.TierBytes = 0, 0
 	for _, u := range updates {
 		if u.hierPartial != nil {
@@ -118,7 +120,7 @@ func (a *TierAggregator) Aggregate(updates []*ClientUpdate) (map[string]*tensor.
 // arriving update is folded immediately into its edge shard's partial
 // (and the raw weights dropped — the streaming O(model) property), and at
 // finalize the shard partials merge up the configured tier widths with
-// per-hop byte accounting before the root finalizes the exact FedAvg.
+// per-hop byte accounting before the root finalizes the FedAvg.
 // Stale updates never reach it: tier mode has no AsyncAggregator, so
 // they are dropped like the flat no-async path's.
 type tierSink struct {
@@ -166,7 +168,7 @@ func (s *tierSink) add(name string, u *ClientUpdate) error {
 // finalize merges the shard partials up the tiers. Each hop accounts the
 // exact wire size the level's partials would encode to — what an edge
 // would have sent — without serializing them (EncodedSize is pinned
-// against EncodePartial); merge order is index order, and exactness
+// against EncodePartial); merge order is index order, and the binned sum
 // makes it irrelevant to the result anyway.
 func (s *tierSink) finalize(e *roundEngine, _ map[string]*tensor.Matrix) (map[string]*tensor.Matrix, error) {
 	round, rec := e.r.round, e.r.rec
@@ -187,7 +189,7 @@ func (s *tierSink) finalize(e *roundEngine, _ map[string]*tensor.Matrix) (map[st
 			g := groupOf(i)
 			if into[g] == nil {
 				// The group's first partial is adopted, not copied: the lower
-				// level is dead after the climb, and merging is exact, so
+				// level is dead after the climb, and merging is reproducible, so
 				// "merge into an adopted sibling" and "merge into a fresh
 				// empty partial" finalize bit-identically.
 				into[g] = p

@@ -37,9 +37,8 @@ go test -run '^$' \
 # pass runs a 1x CI smoke. CI gates BenchmarkWALAppend (one blocking
 # fsync'd record) at 5% of the LSTM round, the reconcile-mode round
 # (health monitor + work queue on a round where nothing fails) at 2% of
-# the plain one, and the hier-tier round (expansion folds + big.Float
-# finalize) at 5% of its identical flat control round via bench_check's
-# A/B mode; the
+# the plain one, and the hier-tier round (binned folds + tier climb) at
+# 5% of its identical flat control round via bench_check's A/B mode; the
 # plain-vs-WAL round pair is tracked alongside as an observable of the
 # end-to-end group-commit pipeline (ungated — the ratio depends on
 # whether a spare core exists to absorb writeback, see DESIGN.md).
@@ -48,6 +47,16 @@ trap 'rm -f "$RAW" "$RAWCPU" "$RAWK" "$RAWWAL"' EXIT
 go test -run '^$' \
   -bench 'BenchmarkTable3_FLRoundLSTM$|BenchmarkTable3_FLRoundDurableLSTM$|BenchmarkTable3_FLRoundReconcileLSTM$|BenchmarkTable3_FLRoundHierLSTM$|BenchmarkTable3_FLRoundFlatLSTM$|BenchmarkWALAppend' \
   -benchmem -benchtime 5x -count 1 . | tee "$RAWWAL"
+
+# Pass 1c: the aggregation layer alone — the reproducible binned fold of
+# 64 updates of 4096 elements (the sim-tier-2k shape, finalize included)
+# and its control, the plain weighted sum over the same updates. CI gates
+# BenchmarkPartialFold at 3x BenchmarkNaiveFold, so an end-to-end round
+# that training dominates cannot hide a regression in the fold.
+RAWFOLD="$(mktemp)"
+trap 'rm -f "$RAW" "$RAWCPU" "$RAWK" "$RAWWAL" "$RAWFOLD"' EXIT
+go test -run '^$' -bench 'BenchmarkPartialFold$|BenchmarkNaiveFold$' \
+  -benchmem -benchtime 500x -count 1 ./internal/fl/hier | tee "$RAWFOLD"
 
 # Pass 2: CPU scaling of the two headline benchmarks. The shared sched
 # pool resizes with GOMAXPROCS, so each -cpu value exercises the pool at
@@ -118,7 +127,8 @@ results_json() {
   printf '  },\n'
   printf '  "results": {\n'
   results_json "$RAW" 1 | sed 's/}$/},/'
-  results_json "$RAWWAL" 1
+  results_json "$RAWWAL" 1 | sed 's/}$/},/'
+  results_json "$RAWFOLD" 1
   printf '  },\n'
   printf '  "cpu_scaling": {\n'
   results_json "$RAWCPU" 0
