@@ -38,9 +38,10 @@ type ClientUpdate struct {
 	// this zero; it is advisory accounting and is not persisted in WAL
 	// update records.
 	DownBytes int
-	// hierPartial carries a decoded tier partial when this "update" is an
-	// edge aggregator's merged uplink rather than a single client's
-	// weights; only a tier-enabled server's TierAggregator consumes it.
+	// hierPartial carries a tier partial when this "update" is an edge
+	// aggregator's merged uplink rather than a single client's weights:
+	// an Edge's round result on its way up, or a decoded uplink that a
+	// tier-enabled server's sink merges.
 	hierPartial *hier.Partial
 }
 

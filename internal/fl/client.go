@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"time"
 
+	"clinfl/internal/fl/hier"
 	"clinfl/internal/metrics"
 	"clinfl/internal/provision"
 	"clinfl/internal/tensor"
@@ -65,6 +66,9 @@ type Client struct {
 	// retrier paces reconnects; its attempt counter and delay schedule
 	// are observable through cfg.Metrics.
 	retrier *Retrier
+	// payload is the task or finish payload being served, as it arrived:
+	// an Edge relays it to its shard unchanged.
+	payload []byte
 }
 
 // NewClient builds a networked client around an executor.
@@ -204,6 +208,7 @@ func (c *Client) Run() (map[string]*tensor.Matrix, error) {
 		}
 		switch msg.Type {
 		case transport.MsgTask:
+			c.payload = msg.Payload
 			global, err := DecodeWeights(msg.Payload)
 			if err != nil {
 				// Corruption inside the payload passes framing but fails
@@ -215,6 +220,17 @@ func (c *Client) Run() (map[string]*tensor.Matrix, error) {
 				continue
 			}
 			update, err := c.exec.ExecuteRound(msg.Round, global)
+			var blob []byte
+			if err == nil {
+				// An Edge's update is its round's partial, sent in the
+				// partial wire format; a leaf's is weights under the
+				// negotiated codec.
+				if update.hierPartial != nil {
+					blob, err = hier.EncodePartial(update.hierPartial)
+				} else {
+					blob, err = c.codec.Encode(update.Weights)
+				}
+			}
 			if err != nil {
 				// Report the failure so the server can requeue or
 				// substitute the task instead of timing out — then keep
@@ -232,10 +248,6 @@ func (c *Client) Run() (map[string]*tensor.Matrix, error) {
 					}
 				}
 				continue
-			}
-			blob, err := c.codec.Encode(update.Weights)
-			if err != nil {
-				return nil, fmt.Errorf("fl: %s encode update: %w", c.kit.Name, err)
 			}
 			if err := conn.Write(&transport.Message{
 				Type: transport.MsgUpdate, Sender: c.kit.Name, Round: msg.Round,
@@ -260,6 +272,7 @@ func (c *Client) Run() (map[string]*tensor.Matrix, error) {
 				}
 			}
 		case transport.MsgFinish:
+			c.payload = msg.Payload
 			final, err := DecodeWeights(msg.Payload)
 			if err != nil {
 				return nil, fmt.Errorf("fl: %s decode final: %w", c.kit.Name, err)

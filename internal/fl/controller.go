@@ -444,10 +444,12 @@ type roundEngine struct {
 	mon *reconcile.Monitor
 	pol ReconcilePolicy
 	// tier routes in-process rounds through the fold-on-arrival tier
-	// sink; tierShards recycles its edge-shard partials across rounds
-	// (Reset keeps each one's O(model) slabs warm).
-	tier       *TierConfig
-	tierShards []*hier.Partial
+	// sink; fold gives a tier-enabled Server (root or edge) its
+	// fold-on-arrival sink. partials recycles either sink's partials
+	// across rounds (Reset keeps each one's O(model) slabs warm).
+	tier     *TierConfig
+	fold     bool
+	partials []*hier.Partial
 
 	r roundState
 }
@@ -538,12 +540,14 @@ func (e *roundEngine) run(ctx context.Context, initialWeights map[string]*tensor
 		}
 		start := e.clock.Now()
 		rec := RoundRecord{Round: round}
-		next, err := e.runRound(ctx, round, global, &rec, resume)
+		err := e.step(ctx, round, global, &rec, resume)
 		resume = nil
 		if err != nil {
 			return nil, err
 		}
-		global = next
+		if global, err = e.r.sink.finalize(e, global); err != nil {
+			return nil, err
+		}
 		rec.Duration = e.clock.Since(start)
 		if e.wal != nil {
 			// The commit point: once RecModelCommit is durable (group
@@ -592,15 +596,17 @@ func (e *roundEngine) run(ctx context.Context, initialWeights map[string]*tensor
 	return res, nil
 }
 
-// runRound runs one round: drain, sample (or resume), WAL open and
-// assign, scatter, gather, finalize. When resume is non-nil (WAL
-// recovery), the round's recorded updates are re-seeded instead of
-// re-trained and only the tasked-but-unheard clients are re-tasked;
-// clients are pure functions of (round, global), so the resumed round
-// aggregates exactly what the uninterrupted one would have.
-func (e *roundEngine) runRound(ctx context.Context, round int, global map[string]*tensor.Matrix, rec *RoundRecord, resume *durable.OpenRound) (map[string]*tensor.Matrix, error) {
+// step runs one round up to its sink: drain, sample (or resume), WAL
+// open and assign, scatter, gather. The caller ends it from e.r.sink:
+// run finalizes the next global model, an Edge seals its partial. When
+// resume is non-nil (WAL recovery), the round's recorded updates are
+// re-seeded instead of re-trained and only the tasked-but-unheard
+// clients are re-tasked; clients are pure functions of (round, global),
+// so the resumed round aggregates exactly what the uninterrupted one
+// would have.
+func (e *roundEngine) step(ctx context.Context, round int, global map[string]*tensor.Matrix, rec *RoundRecord, resume *durable.OpenRound) error {
 	if err := e.fleet.begin(global); err != nil {
-		return nil, err
+		return err
 	}
 	e.r = roundState{round: round, rec: rec, participated: map[string]bool{}, inSampled: map[string]bool{}}
 	if e.mon != nil {
@@ -616,7 +622,7 @@ drain:
 		select {
 		case d := <-e.inbox:
 			if err := e.absorb(d); err != nil {
-				return nil, err
+				return err
 			}
 		default:
 			break drain
@@ -654,17 +660,17 @@ drain:
 	} else {
 		var err error
 		if targets, err = e.sample(ctx); err != nil {
-			return nil, err
+			return err
 		}
 		rec.Sampled = append(rec.Sampled, targets...)
 		if e.wal != nil {
 			// Task assignments from a resumed round are already on disk.
 			if err := e.wal.AppendRoundOpen(round); err != nil {
-				return nil, fmt.Errorf("fl: round %d: %w", round, err)
+				return fmt.Errorf("fl: round %d: %w", round, err)
 			}
 			for _, name := range targets {
 				if err := e.wal.AppendTaskAssigned(round, name); err != nil {
-					return nil, fmt.Errorf("fl: round %d: %w", round, err)
+					return fmt.Errorf("fl: round %d: %w", round, err)
 				}
 			}
 		}
@@ -672,9 +678,12 @@ drain:
 	for _, name := range rec.Sampled {
 		r.inSampled[name] = true
 	}
-	if e.tier != nil {
+	switch {
+	case e.tier != nil:
 		r.sink = e.newTierSink(rec.Sampled)
-	} else {
+	case e.fold:
+		r.sink = e.newFoldSink()
+	default:
 		r.sink = &flatSink{updates: preSeeded}
 	}
 	r.count = len(preSeeded)
@@ -691,7 +700,7 @@ drain:
 			e.fail(name, fmt.Errorf("send task: %v", err), "send")
 			if e.mon != nil {
 				if err := e.healthEdge(e.mon.Observe(name, false, e.clock.Now())); err != nil {
-					return nil, err
+					return err
 				}
 				failedSends = append(failedSends, name)
 			}
@@ -725,10 +734,7 @@ drain:
 		// for the quorum before cutting the round short.
 		r.need = r.quorum
 	}
-	if err := e.gather(ctx, failedSends); err != nil {
-		return nil, err
-	}
-	return r.sink.finalize(e, global)
+	return e.gather(ctx, failedSends)
 }
 
 // sample picks this round's participants among idle clients the health
@@ -1181,8 +1187,7 @@ func (e *roundEngine) parkUntilEligible(ctx context.Context) error {
 	}
 }
 
-// flatSink buffers the round's updates for finalizeRound: the flat root,
-// and the networked tier root whose TierAggregator merges edge partials.
+// flatSink buffers the round's updates for finalizeRound: the flat root.
 type flatSink struct {
 	updates []*ClientUpdate
 }
@@ -1198,13 +1203,16 @@ func (s *flatSink) finalize(e *roundEngine, global map[string]*tensor.Matrix) (m
 	if err != nil {
 		return nil, err
 	}
-	if ta, ok := e.agg.(*TierAggregator); ok {
-		rec.TierPartials = ta.Partials
-		rec.TierBytesUp = ta.TierBytes
-		rec.TierResidentBytes = ta.ResidentBytes
-	}
+	recordUpdates(rec, s.updates)
+	return next, nil
+}
+
+// recordUpdates fills the round record's per-update scalars from the
+// in-round updates, in the order given: participants, payload bytes, and
+// the sample-weighted mean training loss.
+func recordUpdates(rec *RoundRecord, updates []*ClientUpdate) {
 	var lossSum, weightSum float64
-	for _, u := range s.updates {
+	for _, u := range updates {
 		rec.Participants = append(rec.Participants, u.ClientName)
 		rec.BytesUp += int64(u.PayloadBytes)
 		rec.BytesDown += int64(u.DownBytes)
@@ -1214,7 +1222,6 @@ func (s *flatSink) finalize(e *roundEngine, global map[string]*tensor.Matrix) (m
 	if weightSum > 0 {
 		rec.MeanTrainLoss = lossSum / weightSum
 	}
-	return next, nil
 }
 
 // finalizeRound runs the flat end-of-round aggregation: the filter chain

@@ -36,9 +36,13 @@ func (f NormCapFilter) Apply(update *ClientUpdate, global map[string]*tensor.Mat
 	if f.Cap <= 0 {
 		return errors.New("fl: norm cap must be positive")
 	}
+	// Name order, not map order: the norm's bits depend on the order the
+	// squared norms are summed in.
+	names := sortedNames(update.Weights)
 	var sq float64
 	deltas := make(map[string]*tensor.Matrix, len(update.Weights))
-	for name, w := range update.Weights {
+	for _, name := range names {
+		w := update.Weights[name]
 		g, ok := global[name]
 		if !ok {
 			return fmt.Errorf("fl: norm-cap: param %q missing from global", name)
@@ -56,7 +60,8 @@ func (f NormCapFilter) Apply(update *ClientUpdate, global map[string]*tensor.Mat
 		return nil
 	}
 	scale := f.Cap / norm
-	for name, d := range deltas {
+	for _, name := range names {
+		d := deltas[name]
 		d.ScaleInPlace(scale)
 		w := global[name].Clone()
 		if err := w.AddInPlace(d); err != nil {
@@ -92,8 +97,10 @@ func (f GaussianNoiseFilter) Apply(update *ClientUpdate, _ map[string]*tensor.Ma
 	if f.RNG == nil {
 		return errors.New("fl: gaussian noise filter needs an RNG")
 	}
-	for name, w := range update.Weights {
-		noisy := w.Clone()
+	// Name order, so a seeded RNG puts the same draws on the same
+	// parameters every time.
+	for _, name := range sortedNames(update.Weights) {
+		noisy := update.Weights[name].Clone()
 		d := noisy.Data()
 		for i := range d {
 			d[i] += f.RNG.Rand().NormFloat64() * f.Sigma

@@ -147,3 +147,53 @@ func TestFilterNames(t *testing.T) {
 		t.Fatal("filter names wrong")
 	}
 }
+
+// TestPrivacyFiltersDeterministic: with a fixed seed, each privacy filter
+// is a pure function of its input. Re-applying it to the same update with
+// a fresh same-seed RNG must give the same bits every time — which noise
+// draw lands on which parameter, and the order the clipping norm is
+// summed in, must not follow Go's random map iteration.
+func TestPrivacyFiltersDeterministic(t *testing.T) {
+	newUpdate := func() (*ClientUpdate, map[string]*tensor.Matrix) {
+		weights := make(map[string]*tensor.Matrix)
+		global := make(map[string]*tensor.Matrix)
+		for i := 0; i < 8; i++ {
+			name := string(rune('a' + i))
+			// One unit delta and seven of 2^-27: 1 + 2^-54 rounds back to
+			// 1, so the clipping norm's bits depend on the order the
+			// per-param squared norms are summed in.
+			w := tensor.New(1, 3)
+			w.Data()[0] = math.Ldexp(1, -27)
+			if i == 0 {
+				w.Data()[0] = 1
+			}
+			weights[name] = w
+			global[name] = tensor.New(1, 3)
+		}
+		return &ClientUpdate{ClientName: "c", Weights: weights, NumSamples: 1}, global
+	}
+	for _, mk := range []func() Filter{
+		func() Filter { return GaussianNoiseFilter{Sigma: 0.5, RNG: tensor.NewRNG(1)} },
+		func() Filter { return NormCapFilter{Cap: 0.5} },
+	} {
+		var first map[string]*tensor.Matrix
+		for rep := 0; rep < 50; rep++ {
+			flt := mk()
+			u, global := newUpdate()
+			if err := flt.Apply(u, global); err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = u.Weights
+				continue
+			}
+			for name, w := range first {
+				for i, v := range w.Data() {
+					if got := u.Weights[name].Data()[i]; math.Float64bits(got) != math.Float64bits(v) {
+						t.Fatalf("%s application %d: %s[%d] = %v, first application %v", flt.Name(), rep, name, i, got, v)
+					}
+				}
+			}
+		}
+	}
+}

@@ -100,10 +100,11 @@ type ServerConfig struct {
 	// execution errors, dropped connections), and degradation modes for
 	// mass failure. Nil keeps the legacy single-shot round behavior.
 	Reconcile *ReconcilePolicy
-	// Tier, when non-nil, accepts partial-aggregate uplinks from hier.Edge
-	// nodes and aggregates through a TierAggregator: each registered
-	// "client" may be an edge fronting a shard of real clients, so the
-	// root holds O(edges * model) state instead of O(clients * model), and
+	// Tier, when non-nil, accepts partial-aggregate uplinks from fl.Edge
+	// nodes and folds every arriving update, and merges every arriving
+	// partial, into one hier.Partial: each registered "client" may be an
+	// edge fronting a shard of real clients, so the root holds O(model)
+	// aggregation state however many edges and leaves feed it, and
 	// Participants in the round record are the edge names. A mixed fleet
 	// (edges plus plain clients) is supported. Nil keeps the legacy flat
 	// path bit-for-bit unchanged and rejects partial payloads.
@@ -179,12 +180,6 @@ func NewServer(cfg ServerConfig, kit *provision.StartupKit) (*Server, error) {
 		cfg.Filters, cfg.WAL, cfg.Reconcile); err != nil {
 		return nil, err
 	}
-	if cfg.Tier != nil {
-		// The tier root merges edge partials and folds plain updates in one
-		// streaming pass; exactness makes the result identical to flat
-		// FedAvg over every leaf.
-		cfg.Aggregator = &TierAggregator{}
-	}
 	if cfg.Aggregator == nil {
 		cfg.Aggregator = FedAvg{}
 	}
@@ -246,7 +241,10 @@ func NewServer(cfg ServerConfig, kit *provision.StartupKit) (*Server, error) {
 		minClients: cfg.MinClients, minUpdates: cfg.MinUpdates,
 		quorumFloor: 1, quorumOverSampled: true,
 		agg: cfg.Aggregator, async: cfg.AsyncAggregator, filters: cfg.Filters,
-		validate: cfg.Validate, wal: cfg.WAL,
+		// A tier node merges edge partials and folds plain updates on
+		// arrival; the binned sum makes the result identical to flat FedAvg
+		// over every leaf.
+		validate: cfg.Validate, wal: cfg.WAL, fold: cfg.Tier != nil,
 		met: s.met, rng: tensor.NewRNG(cfg.Seed + 7919),
 		logf: func(format string, args ...any) { cfg.Logf("fl server: "+format, args...) },
 	}
@@ -329,21 +327,9 @@ func (s *Server) negotiateCodec(msg *transport.Message) string {
 // server restart, or redialing during the registration window — re-attaches
 // to its session instead of being rejected as a duplicate.
 func (s *Server) register(conn transport.MessageConn) error {
-	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-	msg, err := conn.Read()
+	msg, err := s.admit(conn)
 	if err != nil {
 		return err
-	}
-	_ = conn.SetDeadline(time.Time{})
-	if msg.Type != transport.MsgRegister {
-		return fmt.Errorf("fl: expected register, got %s", msg.Type)
-	}
-	if !s.cfg.VerifyToken(msg.Sender, msg.Token) {
-		_ = conn.Write(&transport.Message{
-			Type: transport.MsgRegisterAck, Sender: s.kit.Name,
-			Meta: map[string]string{"accepted": "false", "reason": "bad token"},
-		})
-		return fmt.Errorf("fl: bad token from %q", msg.Sender)
 	}
 	codecName := s.negotiateCodec(msg)
 	sess := msg.Meta[transport.MetaSession]
@@ -351,10 +337,7 @@ func (s *Server) register(conn transport.MessageConn) error {
 	s.mu.Lock()
 	if resumed && sess != s.sessions[msg.Sender] {
 		s.mu.Unlock()
-		_ = conn.Write(&transport.Message{
-			Type: transport.MsgRegisterAck, Sender: s.kit.Name,
-			Meta: map[string]string{"accepted": "false", "reason": "unknown session"},
-		})
+		s.rejectAck(conn, "unknown session")
 		return fmt.Errorf("fl: unknown session from %q", msg.Sender)
 	}
 	if !resumed {
@@ -388,10 +371,45 @@ func (s *Server) register(conn transport.MessageConn) error {
 	} else {
 		s.cfg.Logf("fl server: client %q registered (token ok, uplink codec %s)", msg.Sender, codecName)
 	}
+	return s.acceptAck(conn, codecName, sess)
+}
+
+// admit reads one registration off a new connection, within the
+// handshake deadline, and checks its admission token; a bad token is
+// refused on the wire. It is the one admission step for every
+// registration: the initial window, mid-run reconnects, and an edge's
+// shard.
+func (s *Server) admit(conn transport.MessageConn) (*transport.Message, error) {
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	msg, err := conn.Read()
+	if err != nil {
+		return nil, err
+	}
+	_ = conn.SetDeadline(time.Time{})
+	if msg.Type != transport.MsgRegister {
+		return nil, fmt.Errorf("fl: expected register, got %s", msg.Type)
+	}
+	if !s.cfg.VerifyToken(msg.Sender, msg.Token) {
+		s.rejectAck(conn, "bad token")
+		return nil, fmt.Errorf("fl: bad token from %q", msg.Sender)
+	}
+	return msg, nil
+}
+
+// rejectAck refuses a registration.
+func (s *Server) rejectAck(conn transport.MessageConn, reason string) {
+	_ = conn.Write(&transport.Message{
+		Type: transport.MsgRegisterAck, Sender: s.kit.Name,
+		Meta: map[string]string{"accepted": "false", "reason": reason},
+	})
+}
+
+// acceptAck admits a registration under its uplink codec and session.
+func (s *Server) acceptAck(conn transport.MessageConn, codec, sess string) error {
 	return conn.Write(&transport.Message{
 		Type: transport.MsgRegisterAck, Sender: s.kit.Name,
 		Meta: map[string]string{
-			"accepted": "true", transport.MetaCodec: codecName, transport.MetaSession: sess,
+			"accepted": "true", transport.MetaCodec: codec, transport.MetaSession: sess,
 		},
 	})
 }
@@ -414,15 +432,22 @@ func (s *Server) readLoop(name string, conn transport.MessageConn, gen int) {
 	}
 }
 
-// startReaders launches one reader goroutine per registered client, so a
-// straggler's late reply is never stranded in a socket buffer and a dead
-// connection is reported, not silently absent.
-func (s *Server) startReaders() {
+// open runs the registration phase, then starts one reader goroutine
+// per registered client — so a straggler's late reply is never stranded
+// in a socket buffer and a dead connection is reported, not silently
+// absent — and the accept loop that re-attaches reconnecting clients.
+func (s *Server) open() error {
+	if err := s.acceptClients(); err != nil {
+		return err
+	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	for _, c := range s.clients {
 		go s.readLoop(c.name, c.conn, c.gen)
 	}
+	s.met.connected.Set(float64(len(s.clients)))
+	s.mu.Unlock()
+	go s.acceptLoop()
+	return nil
 }
 
 // acceptLoop keeps accepting connections after the registration window so
@@ -455,31 +480,16 @@ func (s *Server) acceptLoop() {
 // token must verify and the presented session token must match the one
 // issued (or recovered from the WAL). New clients cannot join mid-run.
 func (s *Server) vetReconnect(conn transport.MessageConn) (*resumeConn, error) {
-	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-	msg, err := conn.Read()
+	msg, err := s.admit(conn)
 	if err != nil {
 		return nil, err
-	}
-	_ = conn.SetDeadline(time.Time{})
-	if msg.Type != transport.MsgRegister {
-		return nil, fmt.Errorf("fl: expected register, got %s", msg.Type)
-	}
-	if !s.cfg.VerifyToken(msg.Sender, msg.Token) {
-		_ = conn.Write(&transport.Message{
-			Type: transport.MsgRegisterAck, Sender: s.kit.Name,
-			Meta: map[string]string{"accepted": "false", "reason": "bad token"},
-		})
-		return nil, fmt.Errorf("fl: bad token from %q", msg.Sender)
 	}
 	sess := msg.Meta[transport.MetaSession]
 	s.mu.Lock()
 	known := s.sessions[msg.Sender]
 	s.mu.Unlock()
 	if sess == "" || sess != known {
-		_ = conn.Write(&transport.Message{
-			Type: transport.MsgRegisterAck, Sender: s.kit.Name,
-			Meta: map[string]string{"accepted": "false", "reason": "unknown session"},
-		})
+		s.rejectAck(conn, "unknown session")
 		return nil, fmt.Errorf("fl: reconnect from %q without a valid session", msg.Sender)
 	}
 	return &resumeConn{name: msg.Sender, token: sess, codec: s.negotiateCodec(msg), conn: conn}, nil
@@ -509,13 +519,7 @@ func (s *Server) reattach(r *resumeConn, round int) (slotHeld bool, err error) {
 	if old != nil {
 		_ = old.Close()
 	}
-	ack := &transport.Message{
-		Type: transport.MsgRegisterAck, Sender: s.kit.Name,
-		Meta: map[string]string{
-			"accepted": "true", transport.MetaCodec: r.codec, transport.MetaSession: r.token,
-		},
-	}
-	if err := r.conn.Write(ack); err != nil {
+	if err := s.acceptAck(r.conn, r.codec, r.token); err != nil {
 		s.markDead(r.name)
 		return slotHeld, fmt.Errorf("resume ack: %v", err)
 	}
@@ -543,37 +547,36 @@ func (s *Server) clientGen(name string) int {
 // Meta round parameters (epochs etc.) are the clients' concern: each client
 // was provisioned with its own local config.
 func (s *Server) Run(initialWeights map[string]*tensor.Matrix) (*Result, error) {
-	if err := s.acceptClients(); err != nil {
+	if err := s.open(); err != nil {
 		return nil, err
 	}
-	s.startReaders()
-	go s.acceptLoop()
-	s.mu.Lock()
-	s.met.connected.Set(float64(len(s.clients)))
-	s.mu.Unlock()
 	res, err := s.eng.run(context.Background(), initialWeights)
 	if err != nil {
 		return nil, err
 	}
-	global := res.FinalWeights
-
 	// Distribute the final model and release the clients.
-	blob, err := s.downCodec.Encode(global)
+	blob, err := s.downCodec.Encode(res.FinalWeights)
 	if err != nil {
 		return nil, err
 	}
-	res.History.FinishFailures = s.broadcast(&transport.Message{
+	s.finish(blob, &res.History)
+	return res, nil
+}
+
+// finish broadcasts the final model payload, releasing the clients, and
+// records the clients it could not reach and the run's framed wire
+// totals (headers, metadata and gob overhead included, complementing the
+// per-round payload counters).
+func (s *Server) finish(blob []byte, h *History) {
+	h.FinishFailures = s.broadcast(&transport.Message{
 		Type: transport.MsgFinish, Sender: s.kit.Name, Payload: blob,
 	})
-	// Framed wire totals (headers + metadata + gob overhead included),
-	// complementing the per-round payload counters.
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, c := range s.clients {
-		res.History.WireBytesRead += c.conn.BytesRead()
-		res.History.WireBytesWritten += c.conn.BytesWritten()
+		h.WireBytesRead += c.conn.BytesRead()
+		h.WireBytesWritten += c.conn.BytesWritten()
 	}
-	s.mu.Unlock()
-	return res, nil
 }
 
 // begin implements fleet: the round's task payload is the global model

@@ -13,13 +13,13 @@ import (
 
 // TierConfig enables hierarchical streaming aggregation: client updates
 // fold into O(model) partial aggregates at tier nodes as they arrive,
-// and only merged partials flow upward, so the root never buffers
-// per-client weight maps. Aggregation is reproducible — hier.Partial
-// keeps a binned sum whose bits do not depend on arrival order or tree
-// shape — so every tier shape, an edge deployment and the flat FedAvg
-// root produce bit-identical global weights (pinned in fltest), within
-// the error bound the hier package documents. Nil TierConfig keeps the
-// flat path.
+// and only merged partials flow upward, so every node, the root
+// included, holds O(model) aggregation state. Aggregation is
+// reproducible — hier.Partial keeps a binned sum whose bits do not
+// depend on arrival order or tree shape — so every tier shape, an edge
+// deployment and the flat FedAvg root produce bit-identical global
+// weights (pinned in fltest), within the error bound the hier package
+// documents. Nil TierConfig keeps the flat path.
 type TierConfig struct {
 	// Aggregators lists the fan-in widths of the aggregation tiers
 	// between the sampled clients and the root, leaf-most first, for the
@@ -27,8 +27,8 @@ type TierConfig struct {
 	// edge partials, merges those into 8 regional partials, and merges
 	// the regionals at the root — each hop's encoded-partial bytes are
 	// accounted in RoundRecord.TierBytesUp. The networked Server ignores
-	// it (its tier shape is the deployed hier.Edge topology). Nil or
-	// empty defaults to a single 8-wide edge tier.
+	// it (its tier shape is the deployed fl.Edge topology). Nil or empty
+	// defaults to a single 8-wide edge tier.
 	Aggregators []int
 }
 
@@ -71,51 +71,6 @@ func validateTier(t *TierConfig, agg Aggregator, async AsyncAggregator,
 	return nil
 }
 
-// TierAggregator is the root-side Aggregator a tier-enabled Server
-// installs: updates from hier.Edge nodes carry decoded partials and are
-// merged; plain client updates (a mixed fleet is fine) are folded
-// directly. The result is the reproducible FedAvg over every leaf,
-// bit-identical to what a flat server would produce. The exported fields snapshot the
-// last Aggregate call's tier accounting for the round record.
-type TierAggregator struct {
-	// Partials counts the lower-tier partials merged.
-	Partials int
-	// TierBytes is the encoded bytes those partials arrived as.
-	TierBytes int64
-	// ResidentBytes is the root's merged aggregation state at finalize —
-	// the O(model) quantity, independent of leaf count.
-	ResidentBytes int64
-}
-
-// Name implements Aggregator.
-func (a *TierAggregator) Name() string { return "hier-fedavg" }
-
-// Aggregate implements Aggregator.
-func (a *TierAggregator) Aggregate(updates []*ClientUpdate) (map[string]*tensor.Matrix, error) {
-	root := takeRoot()
-	defer rootPartial.Store(root)
-	a.Partials, a.TierBytes = 0, 0
-	for _, u := range updates {
-		if u.hierPartial != nil {
-			if err := root.Merge(u.hierPartial); err != nil {
-				return nil, fmt.Errorf("fl: merge partial from %q: %w", u.ClientName, err)
-			}
-			a.Partials++
-			a.TierBytes += int64(u.PayloadBytes)
-			continue
-		}
-		err := root.Fold(hier.Update{
-			ClientName: u.ClientName, Weights: u.Weights, NumSamples: u.NumSamples,
-			TrainLoss: u.TrainLoss, UpBytes: u.PayloadBytes, DownBytes: u.DownBytes,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("fl: fold update from %q: %w", u.ClientName, err)
-		}
-	}
-	a.ResidentBytes = root.ResidentBytes()
-	return root.Finalize()
-}
-
 // tierSink is the in-process controller's fold-on-arrival sink: each
 // arriving update is folded immediately into its edge shard's partial
 // (and the raw weights dropped — the streaming O(model) property), and at
@@ -147,10 +102,10 @@ func (e *roundEngine) newTierSink(sampled []string) *tierSink {
 	for i, n := range names {
 		shardOf[n] = i * edges / len(names)
 	}
-	for len(e.tierShards) < edges {
-		e.tierShards = append(e.tierShards, hier.NewPartial())
+	for len(e.partials) < edges {
+		e.partials = append(e.partials, hier.NewPartial())
 	}
-	return &tierSink{shardOf: shardOf, shards: make([]*hier.Partial, edges), scratch: e.tierShards}
+	return &tierSink{shardOf: shardOf, shards: make([]*hier.Partial, edges), scratch: e.partials}
 }
 
 func (s *tierSink) add(name string, u *ClientUpdate) error {
@@ -159,7 +114,20 @@ func (s *tierSink) add(name string, u *ClientUpdate) error {
 		s.shards[i] = s.scratch[i]
 		s.shards[i].Reset()
 	}
-	return s.shards[i].Fold(hier.Update{
+	return foldInto(s.shards[i], u)
+}
+
+// foldInto adds one arriving update to a partial: a lower edge's partial
+// merges, its encoded size counted as tier bytes; a leaf's weights fold.
+func foldInto(p *hier.Partial, u *ClientUpdate) error {
+	if u.hierPartial != nil {
+		if err := p.Merge(u.hierPartial); err != nil {
+			return err
+		}
+		p.AddTierBytes(int64(u.PayloadBytes))
+		return nil
+	}
+	return p.Fold(hier.Update{
 		ClientName: u.ClientName, Weights: u.Weights, NumSamples: u.NumSamples,
 		TrainLoss: u.TrainLoss, UpBytes: u.PayloadBytes, DownBytes: u.DownBytes,
 	})
@@ -233,6 +201,69 @@ func (s *tierSink) finalize(e *roundEngine, _ map[string]*tensor.Matrix) (map[st
 	rec.BytesDown = root.BytesDown()
 	rec.TierResidentBytes = root.ResidentBytes()
 	return next, nil
+}
+
+// foldSink is a tier-enabled Server's sink, root or edge: each in-time
+// update folds, and each lower edge's partial merges, into one
+// hier.Partial as it arrives, so the node's aggregation state is O(model)
+// whatever its fan-in. It keeps only the per-update scalars flatSink
+// records, so the round record reads the same as a buffered root's.
+type foldSink struct {
+	p   *hier.Partial
+	ups []*ClientUpdate // weightless copies, for the record
+}
+
+// newFoldSink returns the round's sink over the engine's recycled
+// partial (Reset keeps its slabs).
+func (e *roundEngine) newFoldSink() *foldSink {
+	if len(e.partials) == 0 {
+		e.partials = append(e.partials, hier.NewPartial())
+	}
+	p := e.partials[0]
+	p.Reset()
+	return &foldSink{p: p}
+}
+
+func (s *foldSink) add(_ string, u *ClientUpdate) error {
+	if err := foldInto(s.p, u); err != nil {
+		return err
+	}
+	s.ups = append(s.ups, &ClientUpdate{
+		ClientName: u.ClientName, NumSamples: u.NumSamples, TrainLoss: u.TrainLoss,
+		PayloadBytes: u.PayloadBytes, DownBytes: u.DownBytes,
+	})
+	return nil
+}
+
+// record fills the round record: the per-update scalars in name order, as
+// flatSink does, and the tier accounting of every hop below this node.
+func (s *foldSink) record(rec *RoundRecord) {
+	sort.Slice(s.ups, func(i, j int) bool { return s.ups[i].ClientName < s.ups[j].ClientName })
+	recordUpdates(rec, s.ups)
+	rec.TierPartials = s.p.Merged()
+	rec.TierBytesUp = s.p.TierBytes()
+	rec.TierResidentBytes = s.p.ResidentBytes()
+}
+
+// finalize is the root's end of the round: the partial's FedAvg.
+func (s *foldSink) finalize(e *roundEngine, _ map[string]*tensor.Matrix) (map[string]*tensor.Matrix, error) {
+	s.record(e.r.rec)
+	next, err := s.p.Finalize()
+	if err != nil {
+		return nil, fmt.Errorf("fl: round %d aggregate: %w", e.r.round, err)
+	}
+	return next, nil
+}
+
+// seal is an edge's end of the round: the round is recorded as at the
+// root, and the partial goes upward unfinalized, carrying the round's
+// failures in its accounting.
+func (s *foldSink) seal(rec *RoundRecord) *hier.Partial {
+	s.record(rec)
+	for _, f := range rec.Failures {
+		s.p.Fail(f)
+	}
+	return s.p
 }
 
 // clampSamples converts an exact partial weight to the int NumSamples

@@ -4,9 +4,7 @@
 # root, so both the speed and the allocation discipline of the training
 # hot path are tracked PR over PR. A second pass sweeps -cpu 1,2,4 into a
 # "cpu_scaling" block (keys keep the go-test -N suffix) so the fork-join
-# runtime's scaling is measured, not assumed. BENCH_batched.json (PR 1)
-# and BENCH_arena.json (PR 2) are kept frozen as previous reference
-# points.
+# runtime's scaling is measured, not assumed.
 #
 # A third pass runs the per-kernel GEMM microbenchmarks (plus the
 # scoreboard headliners already measured in pass 1) into
@@ -115,8 +113,7 @@ results_json() {
   printf '    "BenchmarkTable3_FLRoundBERTMini": 864552461,\n'
   printf '    "BenchmarkTable3_FLRoundBERT": 6958233067\n'
   printf '  },\n'
-  # PR 1 (batched path) and PR 2 (arena path) references on the same box;
-  # see BENCH_batched.json / BENCH_arena.json for the full scoreboards.
+  # Batched-path and arena-path references, measured on the same box.
   printf '  "pr1_batched_baseline": {\n'
   printf '    "BenchmarkTable2_ForwardBERT": {"ns_per_op": 389830663, "bytes_per_op": 189959456, "allocs_per_op": 4443},\n'
   printf '    "BenchmarkTable3_FLRoundBERT": {"ns_per_op": 3571771922, "bytes_per_op": 1714803997, "allocs_per_op": 43272}\n'

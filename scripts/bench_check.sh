@@ -21,9 +21,8 @@
 #   scripts/bench_check.sh BENCH_parallel.json BENCH_parallel.json \
 #       BenchmarkTable3_FLRoundDurableLSTM/BenchmarkTable3_FLRoundLSTM 5
 #
-# Both files only need a "results" object keyed by benchmark name, so a
-# BENCH_arena.json baseline from an older base commit still gates a fresh
-# BENCH_parallel.json. The default budget for the hot paths is +25%
+# Both files only need a "results" object keyed by benchmark name. The
+# default budget for the hot paths is +25%
 # (same-runner comparisons; the fork-join runtime must never cost more
 # than that even on single-core runners where it cannot win).
 #
